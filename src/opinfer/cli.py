@@ -6,16 +6,19 @@ fixed: ``metrics.csv`` has header ``benchmark,nbar,n,mu,method,split,
 avg_rel_error,traj_diff,diverged,residual`` and ``certify.csv`` has header
 ``benchmark,mu,K,required,rank,cond,satisfied``; floats are printed with 17
 significant digits, so a rerun with the same config and seed is
-byte-identical.  The toy runner additionally writes its per-step series
-(``toy_closure.csv``, ``toy_norms.csv``) and the conditioning/difference
-studies (``toy_cond.csv``, ``toy_diff.csv``).
+byte-identical.  The toy benchmark runs `run_toy`, which additionally writes
+its per-step series (``toy_closure.csv``, ``toy_norms.csv``) and the
+conditioning/difference studies (``toy_cond.csv``, ``toy_diff.csv``); the
+other benchmarks share one pipeline, `run_study`.
 
 Randomness derives from one base seed: the toy/custom system matrices use the
 seed itself, training input trajectory l of parameter j uses seed + 1000 +
 j * m' + l, dedicated basis-building inputs use offset 700000, and test
 inputs use offset 500000 + i.  Exit codes: 0 success, 2 config error, 3
-numerical failure (unsatisfied recovery certificate when the config demands
-exact recovery).
+numerical failure: an unsatisfied recovery certificate when the config
+demands exact recovery, a full model that diverges on a training or test
+input, or snapshots whose numerical rank is below nbar.  Either error prints
+one line to stderr.
 """
 
 import argparse
@@ -50,7 +53,11 @@ class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
-class RecoveryError(RuntimeError):
+class NumericalFailure(RuntimeError):
+    """The study failed numerically (exit code 3)."""
+
+
+class RecoveryError(NumericalFailure):
     """Exact recovery was requested but a certificate is unsatisfied."""
 
 
@@ -96,39 +103,83 @@ class ExperimentConfig:
             raise ConfigError(f"unknown benchmark {self.benchmark!r}")
         if self.scale not in ("desk", "paper"):
             raise ConfigError(f"scale must be 'desk' or 'paper', got {self.scale!r}")
-        positive = {
-            "num_steps": self.num_steps,
-            "nbar": self.nbar,
-            "snapshot_stride": self.snapshot_stride,
-        }
-        if self.state_dim is not None:
-            positive["state_dim"] = self.state_dim
-        for name, value in positive.items():
-            if value is not None and (not isinstance(value, int) or value < 1):
-                raise ConfigError(f"{name} must be a positive integer, got {value!r}")
-        if self.truncation_dims is not None:
-            if not self.truncation_dims or any(
-                not isinstance(n, int) or n < 1 for n in self.truncation_dims
-            ):
-                raise ConfigError("truncation_dims must be positive integers")
-            if self.nbar is not None and max(self.truncation_dims) > self.nbar:
-                raise ConfigError(
-                    f"truncation dims {self.truncation_dims} exceed nbar={self.nbar}"
-                )
-        if self.input_range is not None:
-            lo, hi = self.input_range
-            if not lo < hi:
-                raise ConfigError(f"input_range must satisfy low < high, got {self.input_range}")
+        # a field that the benchmark's preset leaves None is unused by it
+        preset = default_config(self.benchmark, self.scale)
+        for name, low in _INTEGER_FIELDS.items():
+            value = getattr(self, name)
+            used = value is not None or getattr(preset, name) is not None
+            if used and not (_is_integer(value) and value >= low):
+                raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+        if (self.dt is not None or preset.dt is not None) and not (
+            _is_real(self.dt) and self.dt > 0
+        ):
+            raise ConfigError(f"dt must be a positive number, got {self.dt!r}")
+        if not (_is_real(self.reproj_start_kick) and self.reproj_start_kick >= 0):
+            raise ConfigError(
+                f"reproj_start_kick must be a number >= 0, got {self.reproj_start_kick!r}"
+            )
+        if self.benchmark == "reaction2d" and self.reaction_degree > 3:
+            raise ConfigError(f"reaction_degree must be 2 or 3, got {self.reaction_degree}")
+        state_dim = (
+            self.grid_points_per_dim**2 if self.benchmark == "reaction2d" else self.state_dim
+        )
+        if self.nbar > state_dim:
+            raise ConfigError(f"nbar={self.nbar} exceeds the state dimension {state_dim}")
+        dims = self.truncation_dims
+        if not (
+            isinstance(dims, (list, tuple))
+            and dims
+            and all(_is_integer(n) and n >= 1 for n in dims)
+        ):
+            raise ConfigError(f"truncation_dims must be positive integers, got {dims!r}")
+        if max(dims) > self.nbar:
+            raise ConfigError(f"truncation dims {dims} exceed nbar={self.nbar}")
+        r = self.input_range
+        if (r is not None or preset.input_range is not None) and not (
+            isinstance(r, (list, tuple)) and len(r) == 2 and all(map(_is_real, r)) and r[0] < r[1]
+        ):
+            raise ConfigError(f"input_range must be [low, high] with low < high, got {r!r}")
         domain = _PARAM_DOMAINS.get(self.benchmark)
-        if domain and self.param_values is not None:
-            for mu in self.param_values:
-                if not domain[0] <= mu <= domain[1]:
-                    raise ConfigError(
-                        f"parameter {mu} outside the {self.benchmark} domain {domain}"
-                    )
-        if self.reproj_horizon is not None and self.reproj_horizon < 1:
-            raise ConfigError("reproj_horizon must be positive")
+        values = self.param_values
+        if domain and values is not None and not (
+            isinstance(values, (list, tuple))
+            and values
+            and all(_is_real(mu) and domain[0] <= mu <= domain[1] for mu in values)
+            and len(set(values)) == len(values)
+        ):
+            raise ConfigError(
+                f"param_values must be distinct numbers in the {self.benchmark} "
+                f"domain {domain}, got {values!r}"
+            )
         return self
+
+
+# smallest allowed value of each integer field
+_INTEGER_FIELDS = {
+    "seed": 0,
+    "state_dim": 1,
+    "grid_points_per_dim": 1,
+    "num_steps": 1,
+    "param_count": 1,
+    "num_inputs": 1,
+    "num_basis_inputs": 1,
+    "nbar": 1,
+    "reproj_horizon": 1,
+    "snapshot_stride": 1,
+    "num_test_params": 0,
+    "reaction_degree": 2,
+    "custom_degree": 1,
+    "custom_input_dim": 1,
+    "main_dim": 1,
+}
+
+
+def _is_integer(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 _PARAM_DOMAINS = {"burgers": (0.1, 1.0), "reaction2d": (1.0, 1.5)}
@@ -271,14 +322,16 @@ class ExperimentReport:
     def write(self, out_dir):
         """Write all CSV files; returns the written paths."""
         os.makedirs(out_dir, exist_ok=True)
-        paths = []
-        if self.metric_rows:
-            paths.append(self._write_rows(out_dir, "metrics.csv", METRICS_HEADER, self.metric_rows))
-        if self.certificate_rows:
-            paths.append(
-                self._write_rows(out_dir, "certify.csv", CERTIFY_HEADER, self.certificate_rows)
+        tables = {
+            name: (header, [[row[c] for c in header.split(",")] for row in rows])
+            for name, header, rows in (
+                ("metrics.csv", METRICS_HEADER, self.metric_rows),
+                ("certify.csv", CERTIFY_HEADER, self.certificate_rows),
             )
-        for name, (header, rows) in self.extras.items():
+            if rows
+        }
+        paths = []
+        for name, (header, rows) in {**tables, **self.extras}.items():
             path = os.path.join(out_dir, name)
             with open(path, "w", newline="") as fh:
                 fh.write(header + "\n")
@@ -287,42 +340,17 @@ class ExperimentReport:
             paths.append(path)
         return paths
 
-    @staticmethod
-    def _write_rows(out_dir, name, header, rows):
-        path = os.path.join(out_dir, name)
-        columns = header.split(",")
-        with open(path, "w", newline="") as fh:
-            fh.write(header + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(row[c]) for c in columns) + "\n")
-        return path
+
+def _metric_row(*values):
+    """A metrics.csv row from its values in header order."""
+    return dict(zip(METRICS_HEADER.split(","), values))
 
 
-def _metric_row(benchmark, nbar, n, mu, method, split, avg_rel_error, traj_diff, diverged, residual):
-    return {
-        "benchmark": benchmark,
-        "nbar": nbar,
-        "n": n,
-        "mu": mu,
-        "method": method,
-        "split": split,
-        "avg_rel_error": avg_rel_error,
-        "traj_diff": traj_diff,
-        "diverged": diverged,
-        "residual": residual,
-    }
-
-
-def _certificate_row(benchmark, mu, certificate):
-    return {
-        "benchmark": benchmark,
-        "mu": mu,
-        "K": certificate.num_columns,
-        "required": certificate.required_columns,
-        "rank": certificate.numerical_rank,
-        "cond": certificate.condition_number,
-        "satisfied": certificate.satisfied,
-    }
+def _certificate_row(benchmark, mu, c):
+    """A certify.csv row of one recovery certificate."""
+    values = (benchmark, mu, c.num_columns, c.required_columns, c.numerical_rank,
+              c.condition_number, c.satisfied)
+    return dict(zip(CERTIFY_HEADER.split(","), values))
 
 
 # ---------------------------------------------------------------------------
@@ -330,18 +358,21 @@ def _certificate_row(benchmark, mu, certificate):
 # ---------------------------------------------------------------------------
 
 class _Adapter:
-    """Per-benchmark wiring: parameters, model factory, and seeded inputs."""
+    """Per-benchmark wiring: parameters, model factory, and seeded inputs.
 
-    parametric = True
+    A benchmark without a parameter trains and tests at the one value None.
+    """
+
+    input_rows = 1
 
     def __init__(self, config):
         self.config = config
 
     def train_params(self):
-        raise NotImplementedError
+        return [None]
 
     def test_params(self):
-        return self.train_params() if not self.parametric else None
+        return [None]
 
     def factory(self, mu):
         raise NotImplementedError
@@ -349,7 +380,7 @@ class _Adapter:
     def _uniform(self, seed):
         lo, hi = self.config.input_range
         rng = np.random.default_rng(seed)
-        return rng.uniform(lo, hi, (1, self.config.num_steps))
+        return rng.uniform(lo, hi, (self.input_rows, self.config.num_steps))
 
     def reproj_inputs(self, j):
         seed = self.config.seed + _TRAIN_SEED_OFFSET
@@ -359,10 +390,9 @@ class _Adapter:
         ]
 
     def basis_inputs(self, j):
-        return None  # same inputs as re-projection
-
-    def train_eval_inputs(self, j):
-        return [U for U in self.reproj_inputs(j)]
+        """Inputs of the snapshot and training-evaluation simulations; None
+        means the re-projection inputs."""
+        return None
 
     def test_input(self, i):
         raise NotImplementedError
@@ -371,19 +401,20 @@ class _Adapter:
         return U
 
 
-class _BurgersAdapter(_Adapter):
-    benchmark = "burgers"
+class _ParametricAdapter(_Adapter):
+    """A benchmark over the scalar parameter domain _PARAM_DOMAINS[benchmark]."""
 
     def train_params(self):
-        cfg = self.config
-        if cfg.param_values is not None:
-            return [float(v) for v in cfg.param_values]
-        lo, hi = _PARAM_DOMAINS["burgers"]
-        return list(np.linspace(lo, hi, cfg.param_count))
+        if self.config.param_values is not None:
+            return [float(v) for v in self.config.param_values]
+        return list(np.linspace(*_PARAM_DOMAINS[self.benchmark], self.config.param_count))
 
     def test_params(self):
-        lo, hi = _PARAM_DOMAINS["burgers"]
-        return list(np.linspace(lo, hi, self.config.num_test_params))
+        return list(np.linspace(*_PARAM_DOMAINS[self.benchmark], self.config.num_test_params))
+
+
+class _BurgersAdapter(_ParametricAdapter):
+    benchmark = "burgers"
 
     def factory(self, mu):
         return fom.make_burgers(mu, dt=self.config.dt, num_nodes=self.config.state_dim)
@@ -394,10 +425,6 @@ class _BurgersAdapter(_Adapter):
 
 class _ChafeeAdapter(_Adapter):
     benchmark = "chafee"
-    parametric = False
-
-    def train_params(self):
-        return [None]
 
     def factory(self, mu):
         return fom.make_chafee_infante(dt=self.config.dt, num_nodes=self.config.state_dim)
@@ -407,19 +434,8 @@ class _ChafeeAdapter(_Adapter):
         return 25.0 * (np.sin(np.pi * t) + 1.0)[None, :]
 
 
-class _Reaction2dAdapter(_Adapter):
+class _Reaction2dAdapter(_ParametricAdapter):
     benchmark = "reaction2d"
-
-    def train_params(self):
-        cfg = self.config
-        if cfg.param_values is not None:
-            return [float(v) for v in cfg.param_values]
-        lo, hi = _PARAM_DOMAINS["reaction2d"]
-        return list(np.linspace(lo, hi, cfg.param_count))
-
-    def test_params(self):
-        lo, hi = _PARAM_DOMAINS["reaction2d"]
-        return list(np.linspace(lo, hi, self.config.num_test_params))
 
     def factory(self, mu):
         return fom.make_diffusion_reaction_2d(
@@ -437,19 +453,16 @@ class _Reaction2dAdapter(_Adapter):
         count = self.config.num_basis_inputs or 1
         return [self._wrap(self._uniform(seed + j * count + l)) for l in range(count)]
 
-    def train_eval_inputs(self, j):
-        return self.basis_inputs(j)
-
     def test_input(self, i):
         return self._wrap(self._uniform(self.config.seed + _TEST_SEED_OFFSET + i))
 
 
 class _CustomAdapter(_Adapter):
     benchmark = "custom"
-    parametric = False
 
-    def train_params(self):
-        return [None]
+    @property
+    def input_rows(self):
+        return self.config.custom_input_dim
 
     def factory(self, mu):
         return fom.make_random_polynomial(
@@ -458,11 +471,6 @@ class _CustomAdapter(_Adapter):
             input_dim=self.config.custom_input_dim,
             seed=self.config.seed,
         )
-
-    def _uniform(self, seed):
-        lo, hi = self.config.input_range
-        rng = np.random.default_rng(seed)
-        return rng.uniform(lo, hi, (self.config.custom_input_dim, self.config.num_steps))
 
     def test_input(self, i):
         return self._uniform(self.config.seed + _TEST_SEED_OFFSET + i)
@@ -514,23 +522,23 @@ def _rom_histories(model, Z0, input_list, num_steps):
     return history, None
 
 
-def _project_pieces(model, x0, inputs, basis, num_steps):
+def _project_pieces(model, starts, inputs, basis, num_steps):
     """Project full simulations onto the basis; keep only what metrics need.
 
-    Returns a list of (proj_states, x_norm_sq, proj_col_norms_sq) per input,
+    Simulates one piece per (start, input) pair for `num_steps` steps.
+    Returns a list of (proj_states, x_norm_sq, proj_col_norms_sq) per piece,
     where proj_states is (nbar, steps + 1) and the squared norms cover the
     leading `num_steps` columns (the trajectory role X).  Uses the orthogonal
     split ||V_n Z - X||^2 = ||Z - proj[:n]||^2 + (||X||^2 - ||proj[:n]||^2)
-    so the full states never need to be kept.
+    so the full states never need to be kept.  A diverging full model raises
+    NumericalFailure.
     """
     out = []
-    for U in inputs:
+    for x0, U in zip(starts, inputs):
         Umat = _as_matrix(U)[:, :num_steps]
         traj = fom.simulate(model, x0, Umat)
         if traj.diverged:
-            raise RuntimeError(
-                f"full model diverged at step {traj.diverged_at} during evaluation"
-            )
+            raise NumericalFailure(f"full model diverged at step {traj.diverged_at}")
         proj = subspace.project(basis, traj.states)
         x_norm_sq = float(np.sum(traj.states[:, :num_steps] ** 2))
         col_norms_sq = np.sum(proj[:, :num_steps] ** 2, axis=1)
@@ -564,30 +572,59 @@ def _split_metrics(histories, diverged_at, pieces, n, num_steps, intrusive_histo
     return avg_rel, traj_diff, False
 
 
-def _plain_fit(model, starts, inputs, basis, horizon):
+def _plain_fit(model, projected, inputs):
     """Operator inference from plain projected trajectories (no re-projection).
 
-    Uses the same starts and inputs as the re-projected pieces, so the two
-    fits differ only in how the data was sampled.
+    `projected` holds the projected states of each piece and `inputs` the
+    matching input trajectories.  Returns (model, residual).
     """
-    pieces = []
-    for x0, U in zip(starts, inputs):
-        Umat = _as_matrix(U)
-        h = Umat.shape[1] if horizon is None else min(horizon, Umat.shape[1])
-        traj = fom.simulate(model, x0, Umat[:, :h])
-        pieces.append((subspace.project(basis, traj.states), Umat[:, :h]))
-    X, Y, U_all = opinf.concat_trajectories(pieces)
+    X, Y, U_all = opinf.concat_trajectories(list(zip(projected, inputs)))
     data = opinf.assemble_data_matrix(X, U_all, model.degree, source="projected")
-    fitted, residual, certificate = opinf.infer_operators(data, Y)
-    fitted = replace(fitted, parameter=model.parameter)
-    return fitted, residual, certificate
+    fitted, residual, _ = opinf.infer_operators(data, Y)
+    return replace(fitted, parameter=model.parameter), residual
 
 
 _METHODS = ("intrusive", "opinf-reproj", "opinf-plain")
 
 
-def _run_pipeline(config, certify_only=False):
-    """Generic parametric pipeline shared by burgers/chafee/reaction2d/custom."""
+def _evaluate(config, split, mu, models, residuals, pieces, inputs):
+    """Metric rows of one parameter: every model of `models` (one per method
+    in _METHODS) truncated to each dimension and run from zero on `inputs`,
+    whose projected full trajectories are `pieces`.  The learned models are
+    compared with the intrusive one unless that diverged."""
+    K = config.num_steps
+    input_mats = [_as_matrix(U)[:, :K] for U in inputs]
+    rows = []
+    for n in config.truncation_dims:
+        Z0 = np.zeros((n, len(pieces)))
+        tilde_hist, tilde_div = _rom_histories(rom.truncate(models[0], n), Z0, input_mats, K)
+        for method, model, residual in zip(_METHODS, models, residuals):
+            if method == "intrusive":
+                hist, div = tilde_hist, tilde_div
+                ref = None
+            else:
+                hist, div = _rom_histories(rom.truncate(model, n), Z0, input_mats, K)
+                ref = tilde_hist if tilde_div is None else None
+            avg_rel, traj_diff, diverged = _split_metrics(hist, div, pieces, n, K, ref)
+            rows.append(
+                _metric_row(
+                    config.benchmark, config.nbar, n, mu, method, split,
+                    avg_rel, traj_diff, diverged, residual,
+                )
+            )
+    return rows
+
+
+def run_study(config, certify_only=False):
+    """The study of the burgers, chafee, reaction2d and custom benchmarks.
+
+    Learns with `opinf.snapshot_basis` and `opinf.fit_reprojected` (one
+    certificate per training parameter), then fits the plain models to
+    projected full trajectories and evaluates all three methods on the
+    training inputs and, interpolated between the training parameters where
+    there are several, on the test parameters.  With `certify_only` it stops
+    after the certificates.
+    """
     start = time.perf_counter()
     adapter = _ADAPTERS[config.benchmark](config)
     params = adapter.train_params()
@@ -597,21 +634,11 @@ def _run_pipeline(config, certify_only=False):
 
     foms = [adapter.factory(mu) for mu in params]
     x0 = np.zeros(foms[0].state_dim)
-
-    # snapshot pass and POD; remember each parameter's state scale for the
-    # re-projection start kicks
-    columns = []
-    state_scales = np.zeros(len(params))
-    for j, model in enumerate(foms):
-        basis_in = adapter.basis_inputs(j) or adapter.reproj_inputs(j)
-        for U in basis_in:
-            traj = fom.simulate(model, x0, _as_matrix(U))
-            state_scales[j] = max(
-                state_scales[j], float(np.linalg.norm(traj.states, axis=0).max())
-            )
-            columns.append(traj.X[:, :: config.snapshot_stride].copy())
-    basis = subspace.pod_basis(np.hstack(columns), config.nbar)
-    del columns
+    reproj_inputs = [adapter.reproj_inputs(j) for j in range(len(params))]
+    basis_inputs = [adapter.basis_inputs(j) or reproj_inputs[j] for j in range(len(params))]
+    basis, state_scales = opinf.snapshot_basis(
+        foms, [x0] * len(foms), basis_inputs, config.nbar, config.snapshot_stride
+    )
 
     def reproj_starts(j):
         """Per-piece starts: the zero state, optionally kicked inside span(V).
@@ -621,7 +648,7 @@ def _run_pipeline(config, certify_only=False):
         state leave numerically unexcited (slaved trailing modes), which is
         what keeps the data matrix at full rank.
         """
-        count = len(adapter.reproj_inputs(j))
+        count = len(reproj_inputs[j])
         if config.reproj_start_kick == 0.0:
             return [x0] * count
         rng = np.random.default_rng(config.seed + _KICK_SEED_OFFSET + j)
@@ -631,119 +658,55 @@ def _run_pipeline(config, certify_only=False):
             for _ in range(count)
         ]
 
-    # re-projection sampling and inference, one least-squares fit per parameter;
     # the plain fit reuses the same starts so the two fits differ only in how
     # the data was sampled
     starts = [reproj_starts(j) for j in range(len(foms))]
-    reproj_models, reproj_residuals = [], []
-    for j, model in enumerate(foms):
-        data, Y = opinf.reprojected_data(
-            model, basis, starts[j], adapter.reproj_inputs(j), config.reproj_horizon
-        )
-        fitted, residual, certificate = opinf.infer_operators(data, Y)
-        reproj_models.append(replace(fitted, parameter=model.parameter))
-        reproj_residuals.append(residual)
-        report.certificate_rows.append(
-            _certificate_row(config.benchmark, params[j], certificate)
-        )
-        del data, Y
-    if config.require_recovery:
-        bad = [row for row in report.certificate_rows if not row["satisfied"]]
-        if bad:
-            raise RecoveryError(
-                f"{len(bad)} recovery certificate(s) unsatisfied for {config.benchmark}"
-            )
+    reproj_models, reproj_residuals, certificates = opinf.fit_reprojected(
+        foms, basis, starts, reproj_inputs, config.reproj_horizon
+    )
+    for mu, certificate in zip(params, certificates):
+        report.certificate_rows.append(_certificate_row(config.benchmark, mu, certificate))
+    bad = sum(not c.satisfied for c in certificates)
+    if config.require_recovery and bad:
+        raise RecoveryError(f"{bad} recovery certificate(s) unsatisfied for {config.benchmark}")
     if certify_only:
         report.wall_clock = time.perf_counter() - start
         return report
 
-    plain_models, plain_residuals = [], []
-    for j, model in enumerate(foms):
-        fitted, residual, _ = _plain_fit(
-            model, starts[j], adapter.reproj_inputs(j), basis, config.reproj_horizon
-        )
-        plain_models.append(fitted)
-        plain_residuals.append(residual)
-
     intrusive_models = [rom.galerkin_project(model, basis) for model in foms]
-    by_method = {
-        "intrusive": intrusive_models,
-        "opinf-reproj": reproj_models,
-        "opinf-plain": plain_models,
-    }
-    residuals = {
-        "intrusive": [None] * len(params),
-        "opinf-reproj": reproj_residuals,
-        "opinf-plain": plain_residuals,
-    }
-
-    # training-split metrics
     K = config.num_steps
+    horizon = min(config.reproj_horizon or K, K)
+    plain_models = []
     for j, model in enumerate(foms):
-        eval_inputs = adapter.train_eval_inputs(j)
-        pieces = _project_pieces(model, x0, eval_inputs, basis, K)
-        input_mats = [_as_matrix(U)[:, :K] for U in eval_inputs]
-        for n in config.truncation_dims:
-            Z0 = np.zeros((n, len(pieces)))
-            tilde_hist, tilde_div = _rom_histories(
-                rom.truncate(intrusive_models[j], n), Z0, input_mats, K
-            )
-            for method in _METHODS:
-                if method == "intrusive":
-                    hist, div = tilde_hist, tilde_div
-                    ref = None
-                else:
-                    hist, div = _rom_histories(
-                        rom.truncate(by_method[method][j], n), Z0, input_mats, K
-                    )
-                    ref = tilde_hist if tilde_div is None else None
-                avg_rel, traj_diff, diverged = _split_metrics(
-                    hist, div, pieces, n, K, ref
-                )
-                report.metric_rows.append(
-                    _metric_row(
-                        config.benchmark, config.nbar, n, params[j], method, "train",
-                        avg_rel, traj_diff, diverged, residuals[method][j],
-                    )
-                )
+        pieces = _project_pieces(model, [x0] * len(basis_inputs[j]), basis_inputs[j], basis, K)
+        # unkicked plain-fit pieces driven by the evaluation inputs are the
+        # leading steps of the evaluation pieces: one full simulation serves both
+        if config.reproj_start_kick == 0.0 and basis_inputs[j] is reproj_inputs[j]:
+            plain_pieces = pieces
+        else:
+            plain_pieces = _project_pieces(model, starts[j], reproj_inputs[j], basis, horizon)
+        projected = [proj[:, : horizon + 1] for proj, _, _ in plain_pieces]
+        plain, plain_residual = _plain_fit(model, projected, reproj_inputs[j])
+        plain_models.append(plain)
+        report.metric_rows += _evaluate(
+            config, "train", params[j],
+            (intrusive_models[j], reproj_models[j], plain),
+            (None, reproj_residuals[j], plain_residual),
+            pieces, basis_inputs[j],
+        )
+        del pieces, plain_pieces, projected
 
-    # test-split metrics
-    test_params = adapter.test_params()
-    if test_params is not None:
-        for i, mu in enumerate(test_params):
-            test_model = adapter.factory(mu) if adapter.parametric else foms[0]
-            U_test = adapter.test_input(i)
-            pieces = _project_pieces(test_model, x0, [U_test], basis, K)
-            input_mats = [_as_matrix(U_test)[:, :K]]
-            at_mu = {}
-            for method in _METHODS:
-                if adapter.parametric and len(params) > 1:
-                    at_mu[method] = rom.interpolate(params, by_method[method], mu)
-                else:
-                    at_mu[method] = by_method[method][0]
-            for n in config.truncation_dims:
-                Z0 = np.zeros((n, 1))
-                tilde_hist, tilde_div = _rom_histories(
-                    rom.truncate(at_mu["intrusive"], n), Z0, input_mats, K
-                )
-                for method in _METHODS:
-                    if method == "intrusive":
-                        hist, div = tilde_hist, tilde_div
-                        ref = None
-                    else:
-                        hist, div = _rom_histories(
-                            rom.truncate(at_mu[method], n), Z0, input_mats, K
-                        )
-                        ref = tilde_hist if tilde_div is None else None
-                    avg_rel, traj_diff, diverged = _split_metrics(
-                        hist, div, pieces, n, K, ref
-                    )
-                    report.metric_rows.append(
-                        _metric_row(
-                            config.benchmark, config.nbar, n, mu, method, "test",
-                            avg_rel, traj_diff, diverged, None,
-                        )
-                    )
+    by_method = (intrusive_models, reproj_models, plain_models)
+    for i, mu in enumerate(adapter.test_params()):
+        U_test = adapter.test_input(i)
+        pieces = _project_pieces(adapter.factory(mu), [x0], [U_test], basis, K)
+        if len(params) > 1:
+            at_mu = [rom.interpolate(params, models, mu) for models in by_method]
+        else:
+            at_mu = [models[0] for models in by_method]
+        report.metric_rows += _evaluate(
+            config, "test", mu, at_mu, (None,) * len(_METHODS), pieces, [U_test]
+        )
 
     report.wall_clock = time.perf_counter() - start
     return report
@@ -850,39 +813,14 @@ def _norm_or_nan(states, k):
     return float(np.linalg.norm(states[:, k])) if k < states.shape[1] else float("nan")
 
 
-def run_burgers(config):
-    return _run_pipeline(config)
-
-
-def run_chafee(config):
-    return _run_pipeline(config)
-
-
-def run_reaction2d(config):
-    return _run_pipeline(config)
-
-
-def run_custom(config):
-    return _run_pipeline(config)
-
-
 def run_certify(config):
     """Certificates of the re-projected data matrices, before any learning."""
     if config.benchmark == "toy":
-        report = run_toy(replace(config, truncation_dims=config.truncation_dims))
+        report = run_toy(config)
         report.metric_rows = []
         report.extras = {}
         return report
-    return _run_pipeline(config, certify_only=True)
-
-
-_RUNNERS = {
-    "toy": run_toy,
-    "burgers": run_burgers,
-    "chafee": run_chafee,
-    "reaction2d": run_reaction2d,
-    "custom": run_custom,
-}
+    return run_study(config, certify_only=True)
 
 
 # ---------------------------------------------------------------------------
@@ -926,10 +864,13 @@ def main(argv=None):
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
 
-    runner = run_certify if args.command == "certify" else _RUNNERS[config.benchmark]
+    if args.command == "certify":
+        runner = run_certify
+    else:
+        runner = run_toy if config.benchmark == "toy" else run_study
     try:
         report = runner(config)
-    except RecoveryError as err:
+    except (NumericalFailure, subspace.RankError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -146,17 +146,17 @@ def simulate(model, x0, U=None, num_steps=None):
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (model.state_dim,):
         raise ValueError(f"x0 must have shape ({model.state_dim},), got {x0.shape}")
-    U = _input_columns(model, U, num_steps)
-    if num_steps is None:
-        num_steps = U.shape[1] if U is not None else 0
+    U, num_steps = _input_columns(model, U, num_steps)
     return _run(model.step, model.state_dim, x0, U, num_steps)
 
 
 def _input_columns(model, U, num_steps):
+    """Checked input columns (None for an input-free model) and the number of
+    steps: `num_steps`, by default one per input column."""
     if isinstance(U, InputTrajectory):
         U = U.inputs
     if model.input_dim == 0:
-        return None
+        return None, num_steps or 0
     if U is None:
         raise ValueError("model has inputs; provide U")
     U = np.asarray(U, dtype=float)
@@ -164,7 +164,7 @@ def _input_columns(model, U, num_steps):
         raise ValueError(f"U must have {model.input_dim} rows, got {U.shape[0]}")
     if num_steps is not None and U.shape[1] < num_steps:
         raise ValueError(f"U has {U.shape[1]} columns, need at least {num_steps}")
-    return U
+    return U, U.shape[1] if num_steps is None else num_steps
 
 
 def _run(step, dim, x0, U, num_steps):

@@ -7,15 +7,16 @@ recovers the intrusive Galerkin operators whenever the recovery certificate
 holds: enough columns (K >= p + sum_i n_i) and a full-rank data matrix.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as la
 
 from . import fom as _fom
+from . import subspace as _subspace
 from .polytensor import compressed_dim, compressed_power_matrix
 from .rom import PolynomialModel
-from .subspace import Basis, basis_matrix, pod_basis
+from .subspace import basis_matrix
 
 RANK_TOL = 1e-12  # singular values below RANK_TOL * sigma_1 do not count as rank
 MEMBERSHIP_TOL = 1e-10  # relative residual allowed for x0 in span(V)
@@ -98,9 +99,7 @@ def reproject_sample(model, V, x0, U=None, num_steps=None):
         raise ValueError(
             f"x0 lies outside span(V): relative residual {residual:.2e}"
         )
-    U = _fom._input_columns(model, U, num_steps)
-    if num_steps is None:
-        num_steps = U.shape[1] if U is not None else 0
+    U, num_steps = _fom._input_columns(model, U, num_steps)
 
     def reduced_step(z, u):
         return M.T @ model.step(M @ z, u)
@@ -278,6 +277,61 @@ def infer_operators(data, Y):
     return model, residual, certificate
 
 
+def snapshot_basis(models, starts, input_sets, nbar, snapshot_stride=1):
+    """Snapshot-and-POD stage: simulate, then cut a POD basis of dimension nbar.
+
+    Model j is simulated from starts[j] once per input trajectory in
+    input_sets[j]; every `snapshot_stride`-th column of x_0 .. x_{K-1} goes
+    straight into one preallocated snapshot matrix.  Thinning trades basis
+    quality for memory only: recovery does not depend on how the basis was
+    obtained.
+
+    Returns (basis, state_scales) where state_scales[j] is the largest state
+    norm max_k ||x_k|| over the trajectories of model j.
+    """
+    width = sum(
+        len(range(0, _fom._input_columns(model, U, None)[1], snapshot_stride))
+        for model, inputs in zip(models, input_sets)
+        for U in inputs
+    )
+    # Fortran order keeps each written column block contiguous
+    snapshots = np.empty((models[0].state_dim, width), order="F")
+    filled = 0  # a diverged trajectory fills fewer columns than its inputs allow
+    state_scales = np.zeros(len(models))
+    for j, (model, x0, inputs) in enumerate(zip(models, starts, input_sets)):
+        for U in inputs:
+            traj = _fom.simulate(model, x0, U)
+            state_scales[j] = max(
+                state_scales[j], float(np.linalg.norm(traj.states, axis=0).max())
+            )
+            block = traj.X[:, ::snapshot_stride]
+            snapshots[:, filled : filled + block.shape[1]] = block
+            filled += block.shape[1]
+            del traj, block
+    return _subspace.pod_basis(snapshots[:, :filled], nbar), state_scales
+
+
+def fit_reprojected(models, basis, starts, input_sets, reproj_horizon=None):
+    """Re-projected fit stage: one least-squares fit per model.
+
+    Model j is sampled with re-projection from starts[j] under input_sets[j]
+    (see `reprojected_data`) and its operators are fitted by
+    `infer_operators`; each data matrix is freed before the next is built.
+
+    Returns (models, residuals, certificates), one each per model; each
+    learned model carries its full model's parameter.
+    """
+    learned, residuals, certificates = [], [], []
+    for model, x0, inputs in zip(models, starts, input_sets):
+        data, Y = reprojected_data(model, basis, x0, inputs, reproj_horizon)
+        fitted, residual, certificate = infer_operators(data, Y)
+        del data, Y
+        learned.append(replace(fitted, parameter=model.parameter))
+        residuals.append(residual)
+        certificates.append(certificate)
+    return learned, residuals, certificates
+
+
 def learn_with_reprojection(
     fom_factory,
     parameters,
@@ -288,18 +342,18 @@ def learn_with_reprojection(
     snapshot_stride=1,
     basis_input_sets=None,
 ):
-    """End-to-end pipeline: simulate, POD, re-project, concatenate, infer.
+    """End-to-end pipeline: `snapshot_basis`, then `fit_reprojected`.
 
-    For each parameter the full model is simulated once per input trajectory;
-    the POD basis of dimension `nbar` is cut from all simulated states; each
-    (parameter, input) pair is then re-sampled with re-projection (optionally
-    only for the first `reproj_horizon` steps, which is cheaper) and the
-    per-parameter concatenated data feed one least-squares problem each.
+    For each parameter the full model is simulated once per input trajectory
+    and the POD basis of dimension `nbar` is cut from all simulated states;
+    each (parameter, input) pair is then re-sampled with re-projection
+    (optionally only for the first `reproj_horizon` steps, which is cheaper)
+    and the per-parameter concatenated data feed one least-squares problem
+    each.  An initial condition is one state or one start per piece; the
+    snapshot simulations use the first.
 
-    `snapshot_stride` thins the snapshot matrix column-wise before the POD
-    (stride 1 keeps everything); recovery does not depend on how the basis
-    was obtained, so thinning trades basis quality for memory only.  When
-    `basis_input_sets` is given, those inputs drive the basis-building
+    `snapshot_stride` thins the snapshot matrix column-wise before the POD.
+    When `basis_input_sets` is given, those inputs drive the basis-building
     simulations while `input_sets` drive the re-projection sampling (the 2-D
     benchmark uses one long trajectory per parameter for the basis but many
     short ones for re-projection).
@@ -318,29 +372,15 @@ def learn_with_reprojection(
         raise ValueError("basis_input_sets must align with parameters")
 
     models = [fom_factory(mu) for mu in parameters]
-    columns = []
-    for model, x0, inputs in zip(models, initial_conditions, basis_input_sets):
-        if isinstance(x0, (list, tuple)):  # per-piece starts apply to re-projection
-            x0 = x0[0]
-        for U in inputs:
-            traj = _fom.simulate(model, x0, U)
-            # copy so the full trajectory can be freed immediately
-            columns.append(traj.X[:, ::snapshot_stride].copy())
-    basis = pod_basis(np.hstack(columns), nbar)
-    del columns
-
-    learned, certificates = [], []
-    for model, x0, inputs in zip(models, initial_conditions, input_sets):
-        data, Y = reprojected_data(model, basis, x0, inputs, reproj_horizon)
-        fitted, _, certificate = infer_operators(data, Y)
-        fitted = PolynomialModel(
-            operators=fitted.operators,
-            input_matrix=fitted.input_matrix,
-            provenance=fitted.provenance,
-            parameter=model.parameter,
-        )
-        learned.append(fitted)
-        certificates.append(certificate)
+    snapshot_starts = [
+        x0[0] if isinstance(x0, (list, tuple)) else x0 for x0 in initial_conditions
+    ]
+    basis, _ = snapshot_basis(
+        models, snapshot_starts, basis_input_sets, nbar, snapshot_stride
+    )
+    learned, _, certificates = fit_reprojected(
+        models, basis, initial_conditions, input_sets, reproj_horizon
+    )
     return basis, learned, certificates
 
 

@@ -121,37 +121,8 @@ def reduced_simulate(model, z0, U=None, num_steps=None):
     z0 = np.asarray(z0, dtype=float)
     if z0.shape != (model.reduced_dim,):
         raise ValueError(f"z0 must have shape ({model.reduced_dim},), got {z0.shape}")
-    if isinstance(U, _fom.InputTrajectory):
-        U = U.inputs
-    if model.input_dim == 0:
-        U = None
-    else:
-        if U is None:
-            raise ValueError("model has inputs; provide U")
-        U = np.asarray(U, dtype=float)
-        if U.shape[0] != model.input_dim:
-            raise ValueError(f"U must have {model.input_dim} rows, got {U.shape[0]}")
-    if num_steps is None:
-        num_steps = U.shape[1] if U is not None else 0
-
-    n = model.reduced_dim
-    idx = [multiset_indices(n, i) for i in range(2, model.degree + 1)]
-    ops = model.operators
-    B = model.input_matrix
-    states = np.empty((n, num_steps + 1))
-    states[:, 0] = z0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(num_steps):
-            z = states[:, k]
-            x = ops[0] @ z
-            for A, ix in zip(ops[1:], idx):
-                x += A @ np.prod(z[ix], axis=1)
-            if B is not None:
-                x += B @ U[:, k]
-            if not np.isfinite(x).all():
-                return _fom.Trajectory(states=states[:, : k + 1].copy(), diverged_at=k + 1)
-            states[:, k + 1] = x
-    return _fom.Trajectory(states=states)
+    U, num_steps = _fom._input_columns(model, U, num_steps)
+    return _fom._run(model.step, model.reduced_dim, z0, U, num_steps)
 
 
 def truncate(model, new_dim):

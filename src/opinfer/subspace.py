@@ -6,6 +6,10 @@ import scipy.linalg as la
 RANK_TOL = 1e-13  # singular values below RANK_TOL * sigma_1 do not count as rank
 
 
+class RankError(ValueError):
+    """The snapshots have fewer independent directions than requested modes."""
+
+
 class Basis:
     """Orthonormal reduced basis: columns of `matrix` ordered by singular value.
 
@@ -58,7 +62,7 @@ def pod_basis(snapshots, n):
     U, s, _ = la.svd(snapshots, full_matrices=False)
     rank = int(np.count_nonzero(s > RANK_TOL * s[0])) if s.size and s[0] > 0 else 0
     if not 1 <= n <= rank:
-        raise ValueError(f"requested {n} modes but numerical rank is {rank}")
+        raise RankError(f"requested {n} modes but numerical rank is {rank}")
     V = U[:, :n].copy()
     for j in range(n):
         if V[np.argmax(np.abs(V[:, j])), j] < 0:

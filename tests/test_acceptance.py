@@ -224,7 +224,7 @@ def burgers_report():
     config = cli.default_config("burgers", "paper")
     config.seed = 0
     start = time.perf_counter()
-    report = cli.run_burgers(config)
+    report = cli.run_study(config)
     report.wall_clock = time.perf_counter() - start
     return report
 
@@ -268,7 +268,7 @@ def test_criterion_7_chafee_desk_scale():
     1e-6 for n <= 6 while the plain fit is >= 2 orders worse or diverges."""
     config = cli.default_config("chafee", "desk")
     config.seed = 0
-    report = cli.run_chafee(config)
+    report = cli.run_study(config)
 
     by_key = {
         (row["n"], row["method"], row["split"]): row for row in report.metric_rows
@@ -311,7 +311,7 @@ def test_criterion_8_reaction2d_desk_scale():
     at a single parameter."""
     config = cli.default_config("reaction2d", "desk")
     config.seed = 0
-    report = cli.run_reaction2d(config)
+    report = cli.run_study(config)
 
     assert len(report.certificate_rows) == 10
     assert all(row["satisfied"] for row in report.certificate_rows)
@@ -416,7 +416,7 @@ def test_criterion_10_byte_identical_reruns(tmp_path):
     burgers.truncation_dims = [1, 2, 3]
     burgers.num_test_params = 3
     burgers.seed = 123
-    rerun_and_compare("burgers", cli.run_burgers, burgers)
+    rerun_and_compare("burgers", cli.run_study, burgers)
 
     reaction = cli.default_config("reaction2d")
     reaction.grid_points_per_dim = 8
@@ -430,6 +430,6 @@ def test_criterion_10_byte_identical_reruns(tmp_path):
     reaction.snapshot_stride = 1
     reaction.num_test_params = 2
     reaction.seed = 123
-    rerun_and_compare("reaction2d", cli.run_reaction2d, reaction)
+    rerun_and_compare("reaction2d", cli.run_study, reaction)
 
     _report("criterion-10", f"{compared} CSV files byte-identical across reruns")

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from opinfer import cli
+from opinfer import cli, opinf
 
 
 def _write_config(tmp_path, **entries):
@@ -109,6 +109,25 @@ def test_config_invariants():
     config.input_range = (3.0, 1.0)
     with pytest.raises(cli.ConfigError):
         config.validate()
+    for benchmark, key, value in _BAD_CONFIG_ENTRIES:
+        config = cli.default_config(benchmark)
+        setattr(config, key, value)
+        with pytest.raises(cli.ConfigError):
+            config.validate()
+
+
+# (benchmark, key, value): each entry alone makes a preset invalid
+_BAD_CONFIG_ENTRIES = [
+    ("custom", "input_range", [1]),
+    ("custom", "num_inputs", 0),
+    ("burgers", "param_count", 0),
+    ("burgers", "seed", -1),
+    ("burgers", "reproj_horizon", "x"),
+    ("custom", "nbar", 17),  # state_dim is 16
+    ("reaction2d", "nbar", 32 * 32 + 1),
+    ("burgers", "dt", "abc"),
+    ("custom", "custom_degree", 0),
+]
 
 
 def test_main_exit_codes(tmp_path, capsys):
@@ -117,6 +136,10 @@ def test_main_exit_codes(tmp_path, capsys):
     assert code == cli.EXIT_CONFIG
     # config error: run without config
     assert cli.main(["run"]) == cli.EXIT_CONFIG
+    # config error: an invalid entry in the file
+    for benchmark, key, value in _BAD_CONFIG_ENTRIES:
+        path = _write_config(tmp_path, benchmark=benchmark, **{key: value})
+        assert cli.main(["run", "--config", path]) == cli.EXIT_CONFIG, (key, value)
     # success
     out = tmp_path / "out"
     assert cli.main(["toy", "--out", str(out), "--seed", "1"]) == cli.EXIT_OK
@@ -125,7 +148,7 @@ def test_main_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_main_numerical_failure_exit_code(tmp_path):
+def test_main_numerical_failure_exit_code(tmp_path, capsys):
     # too few time steps for exact recovery: K = 4 < 6 required columns
     path = _write_config(
         tmp_path,
@@ -139,6 +162,31 @@ def test_main_numerical_failure_exit_code(tmp_path):
     )
     code = cli.main(["certify", "--config", str(path), "--out", str(tmp_path / "o")])
     assert code == cli.EXIT_NUMERICAL
+    # the full model diverges on a training input (after the snapshots that
+    # the basis needs)
+    path = _write_config(
+        tmp_path,
+        benchmark="custom",
+        num_steps=50,
+        num_inputs=2,
+        input_range=[50.0, 100.0],
+        state_dim=8,
+        nbar=2,
+        truncation_dims=[1],
+    )
+    capsys.readouterr()
+    code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: full model diverged") and err.count("\n") == 1
+    # two steps from the zero state give one snapshot direction, nbar = 2
+    path = _write_config(
+        tmp_path, benchmark="custom", num_steps=2, num_inputs=1, state_dim=8, nbar=2,
+        truncation_dims=[1],
+    )
+    code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_NUMERICAL
+    assert "numerical rank is 1" in capsys.readouterr().err
 
 
 def test_toy_runner_outputs(tmp_path):
@@ -192,7 +240,7 @@ def _small_burgers_config(tmp_path, seed=1):
 
 def test_parametric_pipeline_row_structure(tmp_path):
     config = _small_burgers_config(tmp_path)
-    report = cli.run_burgers(config)
+    report = cli.run_study(config)
     # train rows: m params x dims x 3 methods; test rows: m_test x dims x 3
     expected = 3 * 3 * 3 + 3 * 3 * 3
     assert len(report.metric_rows) == expected
@@ -213,9 +261,44 @@ def test_parametric_pipeline_byte_identical(tmp_path):
     for name in ("a", "b"):
         config = _small_burgers_config(tmp_path)
         config.out_dir = str(tmp_path / name)
-        cli.run_burgers(config).write(config.out_dir)
+        cli.run_study(config).write(config.out_dir)
     for name in ("metrics.csv", "certify.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_pipeline_simulates_each_training_input_twice(tmp_path, monkeypatch):
+    # Once for the snapshots and once for the plain fit and the training
+    # evaluation together; once per test parameter.
+    calls = []
+    simulate = cli.fom.simulate
+
+    def counting_simulate(*args, **kwargs):
+        calls.append(1)
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(cli.fom, "simulate", counting_simulate)
+    config = _small_burgers_config(tmp_path)
+    cli.run_study(config)
+    assert len(calls) == 2 * 3 * 2 + 3  # 3 parameters x 2 inputs, 3 test parameters
+
+
+def test_learn_with_reprojection_matches_the_certify_pipeline(tmp_path):
+    config = _small_burgers_config(tmp_path)
+    config.snapshot_stride = 3
+    config.reproj_horizon = 120
+    adapter = cli._BurgersAdapter(config)
+    params = adapter.train_params()
+    _, _, certificates = opinf.learn_with_reprojection(
+        adapter.factory,
+        params,
+        [np.zeros(config.state_dim)] * len(params),
+        [adapter.reproj_inputs(j) for j in range(len(params))],
+        config.nbar,
+        reproj_horizon=config.reproj_horizon,
+        snapshot_stride=config.snapshot_stride,
+    )
+    rows = cli.run_certify(config).certificate_rows
+    assert [cli._certificate_row("burgers", mu, c) for mu, c in zip(params, certificates)] == rows
 
 
 def test_kicked_pipeline_fits_plain_models_from_the_kicked_starts(tmp_path):
@@ -234,7 +317,7 @@ def test_kicked_pipeline_fits_plain_models_from_the_kicked_starts(tmp_path):
     config.num_test_params = 2
     config.reproj_start_kick = 0.02
     config.seed = 123
-    report = cli.run_reaction2d(config)
+    report = cli.run_study(config)
     # train: 2 params x 3 dims x 3 methods; test: 2 params x 3 dims x 3 methods
     assert len(report.metric_rows) == 36
     assert [(row["rank"], row["required"]) for row in report.certificate_rows] == [
