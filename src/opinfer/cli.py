@@ -22,6 +22,7 @@ one line to stderr.
 """
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -32,7 +33,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import fom, opinf, rom, subspace
-from .polytensor import multiset_indices
+from .fom import NumericalFailure
 
 METRICS_HEADER = "benchmark,nbar,n,mu,method,split,avg_rel_error,traj_diff,diverged,residual"
 CERTIFY_HEADER = "benchmark,mu,K,required,rank,cond,satisfied"
@@ -51,10 +52,6 @@ _KICK_SEED_OFFSET = 900000
 
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
-
-
-class NumericalFailure(RuntimeError):
-    """The study failed numerically (exit code 3)."""
 
 
 class RecoveryError(NumericalFailure):
@@ -114,6 +111,14 @@ class ExperimentConfig:
             _is_real(self.dt) and self.dt > 0
         ):
             raise ConfigError(f"dt must be a positive number, got {self.dt!r}")
+        if not (isinstance(self.out_dir, str) and self.out_dir):
+            raise ConfigError(f"out_dir must be a non-empty string, got {self.out_dir!r}")
+        if not isinstance(self.require_recovery, bool):
+            raise ConfigError(f"require_recovery must be a boolean, got {self.require_recovery!r}")
+        if self.cond_steps is not None and not _are_integers_upto(self.cond_steps, self.num_steps):
+            raise ConfigError(
+                f"cond_steps must be integers in 1..{self.num_steps}, got {self.cond_steps!r}"
+            )
         if not (_is_real(self.reproj_start_kick) and self.reproj_start_kick >= 0):
             raise ConfigError(
                 f"reproj_start_kick must be a number >= 0, got {self.reproj_start_kick!r}"
@@ -125,15 +130,11 @@ class ExperimentConfig:
         )
         if self.nbar > state_dim:
             raise ConfigError(f"nbar={self.nbar} exceeds the state dimension {state_dim}")
-        dims = self.truncation_dims
-        if not (
-            isinstance(dims, (list, tuple))
-            and dims
-            and all(_is_integer(n) and n >= 1 for n in dims)
-        ):
-            raise ConfigError(f"truncation_dims must be positive integers, got {dims!r}")
-        if max(dims) > self.nbar:
-            raise ConfigError(f"truncation dims {dims} exceed nbar={self.nbar}")
+        if not _are_integers_upto(self.truncation_dims, self.nbar):
+            raise ConfigError(
+                f"truncation_dims must be integers in 1..nbar={self.nbar}, "
+                f"got {self.truncation_dims!r}"
+            )
         r = self.input_range
         if (r is not None or preset.input_range is not None) and not (
             isinstance(r, (list, tuple)) and len(r) == 2 and all(map(_is_real, r)) and r[0] < r[1]
@@ -176,6 +177,13 @@ _INTEGER_FIELDS = {
 
 def _is_integer(value):
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _are_integers_upto(values, high):
+    """Whether `values` is a non-empty list of integers in 1..high."""
+    return isinstance(values, (list, tuple)) and len(values) > 0 and all(
+        _is_integer(v) and 1 <= v <= high for v in values
+    )
 
 
 def _is_real(value):
@@ -488,40 +496,6 @@ _ADAPTERS = {
 # Shared pipeline machinery
 # ---------------------------------------------------------------------------
 
-def _as_matrix(U):
-    return U.inputs if isinstance(U, fom.InputTrajectory) else np.asarray(U, dtype=float)
-
-
-def _rom_histories(model, Z0, input_list, num_steps):
-    """States of one reduced model driven by several inputs side by side.
-
-    Returns (history, diverged_at): history has shape (n, width, steps + 1)
-    where steps < num_steps when any column went non-finite (the row-level
-    divergence semantics of the reports).
-    """
-    n = model.reduced_dim
-    width = Z0.shape[1]
-    ops = model.operators
-    B = model.input_matrix
-    idx = [multiset_indices(n, i) for i in range(2, model.degree + 1)]
-    if B is not None:
-        U = np.stack([_as_matrix(u) for u in input_list], axis=-1)  # (p, K, width)
-    history = np.empty((n, width, num_steps + 1))
-    history[:, :, 0] = Z0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(num_steps):
-            Z = history[:, :, k]
-            Znext = ops[0] @ Z
-            for A, ix in zip(ops[1:], idx):
-                Znext += A @ np.prod(Z[ix, :], axis=1)
-            if B is not None:
-                Znext += B @ U[:, k, :]
-            if not np.isfinite(Znext).all():
-                return history[:, :, : k + 1].copy(), k + 1
-            history[:, :, k + 1] = Znext
-    return history, None
-
-
 def _project_pieces(model, starts, inputs, basis, num_steps):
     """Project full simulations onto the basis; keep only what metrics need.
 
@@ -535,8 +509,7 @@ def _project_pieces(model, starts, inputs, basis, num_steps):
     """
     out = []
     for x0, U in zip(starts, inputs):
-        Umat = _as_matrix(U)[:, :num_steps]
-        traj = fom.simulate(model, x0, Umat)
+        traj = fom.simulate(model, x0, U[:, :num_steps])
         if traj.diverged:
             raise NumericalFailure(f"full model diverged at step {traj.diverged_at}")
         proj = subspace.project(basis, traj.states)
@@ -546,29 +519,23 @@ def _project_pieces(model, starts, inputs, basis, num_steps):
     return out
 
 
-def _split_metrics(histories, diverged_at, pieces, n, num_steps, intrusive_histories):
-    """Row metrics for one (parameter, dimension, method) evaluation."""
-    if diverged_at is not None:
+def _split_metrics(traj, pieces, n, num_steps, intrusive_states):
+    """Row metrics for one (parameter, dimension, method) evaluation of a
+    block run `traj`, column l driven like piece l."""
+    if traj.diverged:
         return float("nan"), float("nan"), True
-    err_sq = 0.0
-    ref_sq = 0.0
-    diff_sq = 0.0
-    tilde_sq = 0.0
+    err_sq = ref_sq = diff_sq = tilde_sq = 0.0
     for l, (proj, x_norm_sq, col_norms_sq) in enumerate(pieces):
-        Z = histories[:, l, :num_steps]
+        Z = traj.states[:, :num_steps, l]
         err_sq += float(np.sum((Z - proj[:n, :num_steps]) ** 2))
         err_sq += x_norm_sq - float(np.sum(col_norms_sq[:n]))
         ref_sq += x_norm_sq
-        if intrusive_histories is not None:
-            tilde = intrusive_histories[:, l, :num_steps]
+        if intrusive_states is not None:
+            tilde = intrusive_states[:, :num_steps, l]
             diff_sq += float(np.sum((Z - tilde) ** 2))
             tilde_sq += float(np.sum(tilde**2))
     avg_rel = math.sqrt(max(err_sq, 0.0) / ref_sq)
-    traj_diff = (
-        float("nan")
-        if intrusive_histories is None
-        else math.sqrt(diff_sq / tilde_sq)
-    )
+    traj_diff = float("nan") if intrusive_states is None else math.sqrt(diff_sq / tilde_sq)
     return avg_rel, traj_diff, False
 
 
@@ -593,19 +560,18 @@ def _evaluate(config, split, mu, models, residuals, pieces, inputs):
     whose projected full trajectories are `pieces`.  The learned models are
     compared with the intrusive one unless that diverged."""
     K = config.num_steps
-    input_mats = [_as_matrix(U)[:, :K] for U in inputs]
+    U_block = np.stack([U[:, :K] for U in inputs], axis=-1)  # (p, K, pieces)
     rows = []
     for n in config.truncation_dims:
         Z0 = np.zeros((n, len(pieces)))
-        tilde_hist, tilde_div = _rom_histories(rom.truncate(models[0], n), Z0, input_mats, K)
+        tilde = rom.reduced_simulate(rom.truncate(models[0], n), Z0, U_block, K)
         for method, model, residual in zip(_METHODS, models, residuals):
             if method == "intrusive":
-                hist, div = tilde_hist, tilde_div
-                ref = None
+                traj, ref = tilde, None
             else:
-                hist, div = _rom_histories(rom.truncate(model, n), Z0, input_mats, K)
-                ref = tilde_hist if tilde_div is None else None
-            avg_rel, traj_diff, diverged = _split_metrics(hist, div, pieces, n, K, ref)
+                traj = rom.reduced_simulate(rom.truncate(model, n), Z0, U_block, K)
+                ref = None if tilde.diverged else tilde.states
+            avg_rel, traj_diff, diverged = _split_metrics(traj, pieces, n, K, ref)
             rows.append(
                 _metric_row(
                     config.benchmark, config.nbar, n, mu, method, split,
@@ -766,12 +732,7 @@ def run_toy(config):
                             avg_rel, traj_diff, traj.diverged, residual)
             )
             if method != "intrusive":
-                diff = (
-                    float("nan")
-                    if traj.diverged
-                    else float(np.linalg.norm(traj.states[:, :K] - tilde.states[:, :K]) / tilde_norm)
-                )
-                diff_rows.append([n, method, diff])
+                diff_rows.append([n, method, traj_diff])
 
         for K_sub in cond_steps:
             data_sub = opinf.assemble_data_matrix(bar.X[:, :K_sub], None, 1)
@@ -783,17 +744,11 @@ def run_toy(config):
                 "k,closure",
                 [[k, closure[k]] for k in range(K)],
             )
-            norm_rows = []
-            for k in range(K + 1):
-                norm_rows.append(
-                    [
-                        k,
-                        np.linalg.norm(proj[:, k]),
-                        np.linalg.norm(tilde.states[:, k]),
-                        _norm_or_nan(Z_p.states, k),
-                        _norm_or_nan(Z_r.states, k),
-                    ]
-                )
+            norm_rows = [
+                [k, np.linalg.norm(proj[:, k]), np.linalg.norm(tilde.states[:, k]),
+                 _norm_or_nan(Z_p.states, k), _norm_or_nan(Z_r.states, k)]
+                for k in range(K + 1)
+            ]
             report.extras["toy_norms.csv"] = (
                 "k,projected,intrusive,opinf_plain,opinf_reproj",
                 norm_rows,
@@ -875,12 +830,20 @@ def main(argv=None):
         return EXIT_NUMERICAL
 
     paths = report.write(config.out_dir)
-    print(f"{config.benchmark} ({config.scale}, seed {config.seed}): "
-          f"{len(report.metric_rows)} metric rows, "
-          f"{len(report.certificate_rows)} certificates, "
-          f"{report.wall_clock:.1f}s")
-    for path in paths:
-        print(f"  wrote {path}")
+    try:
+        print(f"{config.benchmark} ({config.scale}, seed {config.seed}): "
+              f"{len(report.metric_rows)} metric rows, "
+              f"{len(report.certificate_rows)} certificates, "
+              f"{report.wall_clock:.1f}s")
+        for path in paths:
+            print(f"  wrote {path}")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (`opinfer run ... | head -1`); the
+        # files are complete.  Send what is left to devnull, or the flush at
+        # exit fails again.
+        with contextlib.suppress(OSError, ValueError):  # no file descriptor
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return EXIT_OK
 
 

@@ -19,7 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polytensor import compressed_dim, compressed_power, symmetrized_compressed_power
+from .polytensor import compressed_dim, compressed_power_matrix, symmetrized_compressed_power
+
+
+class NumericalFailure(RuntimeError):
+    """A study failed numerically, e.g. a full model diverged where a finite
+    trajectory is needed (exit code 3 of the command line)."""
 
 
 @dataclass(frozen=True)
@@ -30,15 +35,16 @@ class Trajectory:
     state appears, storage stops before it: `diverged_at` is the sequence
     index of the first non-finite state and only the finite columns x_0 ..
     x_{diverged_at - 1} are kept.  The `X`/`Y` views always pair valid
-    one-step transitions.
+    one-step transitions.  A block of m sequences stepped side by side has
+    states of shape (dim, K+1, m): time stays on axis 1.
     """
 
     states: np.ndarray
     diverged_at: int = None
 
     def __post_init__(self):
-        if self.states.ndim != 2:
-            raise ValueError(f"states must be 2-D, got shape {self.states.shape}")
+        if self.states.ndim not in (2, 3):
+            raise ValueError(f"states must be 2-D or 3-D, got shape {self.states.shape}")
         if not np.isfinite(self.states).all():
             raise ValueError("stored trajectory columns must be finite")
 
@@ -147,7 +153,7 @@ def simulate(model, x0, U=None, num_steps=None):
     if x0.shape != (model.state_dim,):
         raise ValueError(f"x0 must have shape ({model.state_dim},), got {x0.shape}")
     U, num_steps = _input_columns(model, U, num_steps)
-    return _run(model.step, model.state_dim, x0, U, num_steps)
+    return _run(model.step, x0, U, num_steps)
 
 
 def _input_columns(model, U, num_steps):
@@ -167,11 +173,19 @@ def _input_columns(model, U, num_steps):
     return U, U.shape[1] if num_steps is None else num_steps
 
 
-def _run(step, dim, x0, U, num_steps):
-    states = np.empty((dim, num_steps + 1))
-    states[:, 0] = x0
+def _run(step, x0, U, num_steps):
+    """The one stepping loop: x_{k+1} = step(x_k, u_k) for k < num_steps.
+
+    x0 is one start (dim,) with inputs (p, K), or a block of m starts
+    (dim, m) with inputs (p, K, m) that `step` advances side by side; U is
+    None for an input-free model.  The first non-finite column stops the
+    whole run (see `Trajectory`).
+    """
+    x0 = np.asarray(x0, dtype=float)
     if not np.isfinite(x0).all():
         raise ValueError("x0 must be finite")
+    states = np.empty((x0.shape[0], num_steps + 1) + x0.shape[1:])
+    states[:, 0] = x0
     # divergence is detected, not propagated: overflow warnings are expected
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(num_steps):
@@ -259,7 +273,7 @@ def _model_from_compressed(operators, input_matrix, parameter=None, label="fom")
     def step_impl(x, u):
         out = operators[0] @ x
         for i in range(2, degree + 1):
-            out += operators[i - 1] @ compressed_power(x, i).values
+            out += operators[i - 1] @ compressed_power_matrix(x, i)
         if input_matrix is not None:
             out += input_matrix @ u
         return out

@@ -104,7 +104,7 @@ def reproject_sample(model, V, x0, U=None, num_steps=None):
     def reduced_step(z, u):
         return M.T @ model.step(M @ z, u)
 
-    return _fom._run(reduced_step, M.shape[1], z0, U, num_steps)
+    return _fom._run(reduced_step, z0, U, num_steps)
 
 
 def assemble_data_matrix(states, U, degree, source="projected"):
@@ -287,7 +287,9 @@ def snapshot_basis(models, starts, input_sets, nbar, snapshot_stride=1):
     obtained.
 
     Returns (basis, state_scales) where state_scales[j] is the largest state
-    norm max_k ||x_k|| over the trajectories of model j.
+    norm max_k ||x_k|| over the trajectories of model j.  A diverged
+    trajectory raises `fom.NumericalFailure` naming the step, before any
+    POD.
     """
     width = sum(
         len(range(0, _fom._input_columns(model, U, None)[1], snapshot_stride))
@@ -296,11 +298,13 @@ def snapshot_basis(models, starts, input_sets, nbar, snapshot_stride=1):
     )
     # Fortran order keeps each written column block contiguous
     snapshots = np.empty((models[0].state_dim, width), order="F")
-    filled = 0  # a diverged trajectory fills fewer columns than its inputs allow
+    filled = 0
     state_scales = np.zeros(len(models))
     for j, (model, x0, inputs) in enumerate(zip(models, starts, input_sets)):
         for U in inputs:
             traj = _fom.simulate(model, x0, U)
+            if traj.diverged:
+                raise _fom.NumericalFailure(f"full model diverged at step {traj.diverged_at}")
             state_scales[j] = max(
                 state_scales[j], float(np.linalg.norm(traj.states, axis=0).max())
             )
@@ -308,7 +312,7 @@ def snapshot_basis(models, starts, input_sets, nbar, snapshot_stride=1):
             snapshots[:, filled : filled + block.shape[1]] = block
             filled += block.shape[1]
             del traj, block
-    return _subspace.pod_basis(snapshots[:, :filled], nbar), state_scales
+    return _subspace.pod_basis(snapshots, nbar), state_scales
 
 
 def fit_reprojected(models, basis, starts, input_sets, reproj_horizon=None):
@@ -359,9 +363,10 @@ def learn_with_reprojection(
     short ones for re-projection).
 
     Returns (basis, models, certificates), one model and one certificate per
-    parameter.  Divergence during sampling shortens the affected data piece
-    and eventually surfaces as an unsatisfied certificate rather than an
-    exception.
+    parameter.  A full model that diverges in a snapshot simulation raises
+    `fom.NumericalFailure`; divergence during re-projection sampling shortens
+    the affected data piece and surfaces as an unsatisfied certificate
+    rather than an exception.
     """
     parameters = list(parameters)
     if not (len(parameters) == len(initial_conditions) == len(input_sets)):

@@ -123,22 +123,23 @@ def compressed_power(x, degree):
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ValueError(f"expected a vector, got shape {x.shape}")
-    values = x.copy() if degree == 1 else np.prod(x[multiset_indices(x.size, degree)], axis=1)
+    values = compressed_power_matrix(x, degree)
     return CompressedPower(degree=degree, base_dim=x.size, values=values)
 
 
 def compressed_power_matrix(X, degree):
-    """Columnwise compressed powers of an (n, K) state matrix, shape (n_i, K)."""
+    """Compressed powers of a state vector (n,) or of each column of an (n, K)
+    block, shape (n_i,) or (n_i, K): the one monomial kernel of the package."""
     X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise ValueError(f"expected a matrix, got shape {X.shape}")
+    if X.ndim not in (1, 2):
+        raise ValueError(f"expected a vector or a matrix, got shape {X.shape}")
     if degree == 1:
         return X.copy()
     # multiply factor by factor; avoids an (n_i, degree, K) intermediate
     idx = multiset_indices(X.shape[0], degree)
-    out = X[idx[:, 0], :].copy()
+    out = X[idx[:, 0]]
     for j in range(1, degree):
-        out *= X[idx[:, j], :]
+        out *= X[idx[:, j]]
     return out
 
 
@@ -158,7 +159,7 @@ def symmetrized_compressed_power(vectors):
     idx = multiset_indices(n, len(ws))
     out = np.zeros(idx.shape[0])
     for sigma in permutations(range(len(ws))):
-        out += np.prod([ws[j][idx[:, k]] for k, j in enumerate(sigma)], axis=0)
+        out += reduce(np.multiply, (ws[j][idx[:, k]] for k, j in enumerate(sigma)))
     return out / math.factorial(len(ws))
 
 

@@ -12,6 +12,7 @@ from . import fom as _fom
 from .polytensor import (
     ORDERING_CONVENTION,
     compressed_dim,
+    compressed_power_matrix,
     multiset_indices,
     multiplicity,
     truncation_mask,
@@ -68,11 +69,12 @@ class PolynomialModel:
         return 0 if self.input_matrix is None else self.input_matrix.shape[1]
 
     def step(self, z, u=None):
-        """One reduced time step."""
+        """One reduced time step of a state (n,) or of each column of a block
+        (n, m), whose inputs are then (p, m)."""
         z = np.asarray(z, dtype=float)
         out = self.operators[0] @ z
         for i in range(2, self.degree + 1):
-            out += self.operators[i - 1] @ np.prod(z[multiset_indices(z.size, i)], axis=1)
+            out += self.operators[i - 1] @ compressed_power_matrix(z, i)
         if self.input_matrix is not None:
             out += self.input_matrix @ np.atleast_1d(np.asarray(u, dtype=float))
         return out
@@ -117,12 +119,19 @@ def galerkin_project(model, V):
 
 
 def reduced_simulate(model, z0, U=None, num_steps=None):
-    """Time step a reduced model; same conventions as `fom.simulate`."""
+    """Time step a reduced model; same conventions as `fom.simulate`.
+
+    z0 is one start (n,) with inputs (p, K), or a block of m starts (n, m)
+    with inputs (p, K, m), stepped side by side into states (n, K+1, m); the
+    first non-finite column stops the whole block.
+    """
     z0 = np.asarray(z0, dtype=float)
-    if z0.shape != (model.reduced_dim,):
-        raise ValueError(f"z0 must have shape ({model.reduced_dim},), got {z0.shape}")
+    if z0.ndim not in (1, 2) or z0.shape[0] != model.reduced_dim:
+        raise ValueError(f"z0 must have {model.reduced_dim} rows and 1 or 2 axes, got {z0.shape}")
     U, num_steps = _fom._input_columns(model, U, num_steps)
-    return _fom._run(model.step, model.reduced_dim, z0, U, num_steps)
+    if U is not None and U.shape[2:] != z0.shape[1:]:
+        raise ValueError(f"inputs of shape {U.shape} do not match starts of shape {z0.shape}")
+    return _fom._run(model.step, z0, U, num_steps)
 
 
 def truncate(model, new_dim):

@@ -1,9 +1,13 @@
+import errno
+import io
 import json
+import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from opinfer import cli, opinf
+from opinfer import cli, opinf, subspace
 
 
 def _write_config(tmp_path, **entries):
@@ -127,6 +131,11 @@ _BAD_CONFIG_ENTRIES = [
     ("reaction2d", "nbar", 32 * 32 + 1),
     ("burgers", "dt", "abc"),
     ("custom", "custom_degree", 0),
+    ("toy", "cond_steps", "ab"),
+    ("toy", "cond_steps", [0]),
+    ("toy", "cond_steps", [500]),  # num_steps is 100
+    ("custom", "require_recovery", "no"),
+    ("toy", "out_dir", 5),
 ]
 
 
@@ -148,7 +157,7 @@ def test_main_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_main_numerical_failure_exit_code(tmp_path, capsys):
+def test_main_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
     # too few time steps for exact recovery: K = 4 < 6 required columns
     path = _write_config(
         tmp_path,
@@ -175,10 +184,17 @@ def test_main_numerical_failure_exit_code(tmp_path, capsys):
         truncation_dims=[1],
     )
     capsys.readouterr()
-    code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+    # the snapshot stage stops first: no POD, no overflow in a norm of huge states
+    monkeypatch.setattr(subspace, "pod_basis", lambda *args: pytest.fail("POD ran"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+    monkeypatch.undo()
     assert code == cli.EXIT_NUMERICAL
     err = capsys.readouterr().err
-    assert err.startswith("numerical failure: full model diverged") and err.count("\n") == 1
+    assert err.startswith("numerical failure: full model diverged at step 17")
+    assert err.count("\n") == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     # two steps from the zero state give one snapshot direction, nbar = 2
     path = _write_config(
         tmp_path, benchmark="custom", num_steps=2, num_inputs=1, state_dim=8, nbar=2,
@@ -187,6 +203,20 @@ def test_main_numerical_failure_exit_code(tmp_path, capsys):
     code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
     assert code == cli.EXIT_NUMERICAL
     assert "numerical rank is 1" in capsys.readouterr().err
+
+
+class _ClosedStdout(io.StringIO):
+    """A stdout whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+def test_main_with_a_closed_stdout_exits_zero(tmp_path, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", _ClosedStdout())
+    out = tmp_path / "out"
+    assert cli.main(["toy", "--out", str(out)]) == cli.EXIT_OK
+    assert (out / "metrics.csv").exists() and (out / "toy_diff.csv").exists()
 
 
 def test_toy_runner_outputs(tmp_path):

@@ -141,6 +141,20 @@ def test_full_kron_size_guard():
         pt.duplication_matrix(300, 4)
 
 
+def test_compressed_power_matrix_is_the_columnwise_power():
+    rng = np.random.default_rng(4)
+    X = rng.standard_normal((5, 4))
+    for i in (1, 2, 3):
+        block = pt.compressed_power_matrix(X, i)
+        assert block.shape == (pt.compressed_dim(5, i), 4)
+        for j in range(4):
+            column = pt.compressed_power_matrix(X[:, j], i)
+            assert np.array_equal(column, pt.compressed_power(X[:, j], i).values)
+            assert np.array_equal(block[:, j], column)
+    with pytest.raises(ValueError):
+        pt.compressed_power_matrix(np.zeros((2, 2, 2)), 2)
+
+
 def test_symmetrized_compressed_power_reduces_to_power():
     rng = np.random.default_rng(5)
     x = rng.normal(size=4)

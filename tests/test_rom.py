@@ -117,6 +117,62 @@ def test_reduced_simulate_divergence_flag():
     assert np.isfinite(traj.states).all()
 
 
+def _block_and_single_runs(reduced, Z0, U, num_steps):
+    block = rom.reduced_simulate(reduced, Z0, U, num_steps)
+    singles = [
+        rom.reduced_simulate(reduced, Z0[:, l], None if U is None else U[:, :, l], num_steps)
+        for l in range(Z0.shape[1])
+    ]
+    return block, singles
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+@pytest.mark.parametrize("input_dim", [0, 2])
+def test_reduced_simulate_block_equals_single_column_runs(degree, input_dim):
+    model = fom.make_random_polynomial(5, degree, input_dim=input_dim, seed=degree)
+    reduced = rom.galerkin_project(model, subspace.Basis(np.eye(5)[:, :4]))
+    rng = np.random.default_rng(20 + degree)
+    m, K = 3, 40
+    Z0 = 0.3 * rng.standard_normal((4, m))
+    U = rng.uniform(-1.0, 1.0, (input_dim, K, m)) if input_dim else None
+    block, singles = _block_and_single_runs(reduced, Z0, U, K)
+    assert block.states.shape == (4, K + 1, m) and not block.diverged
+    assert block.X.shape == block.Y.shape == (4, K, m)
+    # A block goes through matrix-matrix products and a single run through
+    # matrix-vector products; BLAS may sum the two in different orders, so
+    # the columns agree to rounding, not bit for bit.
+    for l, single in enumerate(singles):
+        assert not single.diverged
+        diff = np.abs(block.states[:, :, l] - single.states).max()
+        assert diff <= 1e-14 * (1.0 + np.abs(single.states).max())
+
+
+def test_reduced_simulate_block_stops_at_the_first_diverged_column():
+    # z -> 0.5 z + 0.1 z^2 per mode: starts above 5 blow up, starts below decay
+    model = rom.PolynomialModel(
+        operators=(0.5 * np.eye(2), np.array([[0.1, 0.0, 0.0], [0.0, 0.0, 0.1]])),
+        provenance="intrusive",
+    )
+    Z0 = np.array([[1.0, 20.0, -1.0], [0.5, 0.5, 0.5]])
+    block, singles = _block_and_single_runs(model, Z0, None, 200)
+    assert [s.diverged for s in singles] == [False, True, False]
+    assert block.diverged_at == singles[1].diverged_at
+    assert block.states.shape == (2, block.diverged_at, 3)
+    for l, single in enumerate(singles):
+        assert np.allclose(block.states[:, :, l], single.states[:, : block.diverged_at])
+
+
+def test_reduced_simulate_rejects_mismatched_blocks():
+    model = fom.make_random_polynomial(3, 2, input_dim=1, seed=1)
+    reduced = rom.galerkin_project(model, subspace.Basis(np.eye(3)))
+    with pytest.raises(ValueError):
+        rom.reduced_simulate(reduced, np.zeros((3, 2)), np.zeros((1, 5)))
+    with pytest.raises(ValueError):
+        rom.reduced_simulate(reduced, np.zeros((3, 2)), np.zeros((1, 5, 3)))
+    with pytest.raises(ValueError):
+        rom.reduced_simulate(reduced, np.zeros(3), np.zeros((1, 5, 1)))
+
+
 def test_truncate_identity_and_shapes():
     model = fom.make_random_polynomial(6, 3, input_dim=2, seed=11)
     reduced = rom.galerkin_project(model, subspace.Basis(np.eye(6)))
