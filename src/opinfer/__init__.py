@@ -12,7 +12,6 @@ from .diagnostics import (
 )
 from .fom import (
     FullOrderModel,
-    InputTrajectory,
     Trajectory,
     make_burgers,
     make_chafee_infante,
@@ -33,12 +32,8 @@ from .opinf import (
     reproject_sample,
 )
 from .polytensor import (
-    CompressedPower,
-    MultisetIndex,
     compressed_dim,
-    compressed_power,
     duplication_matrix,
-    enumerate_multisets,
     multiplicity,
     selection_matrix,
 )

@@ -24,7 +24,6 @@ one line to stderr.
 import argparse
 import contextlib
 import json
-import math
 import os
 import sys
 import time
@@ -32,7 +31,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from . import fom, opinf, rom, subspace
+from . import diagnostics, fom, opinf, rom, subspace
 from .fom import NumericalFailure
 
 METRICS_HEADER = "benchmark,nbar,n,mu,method,split,avg_rel_error,traj_diff,diverged,residual"
@@ -110,7 +109,7 @@ class ExperimentConfig:
         if (self.dt is not None or preset.dt is not None) and not (
             _is_real(self.dt) and self.dt > 0
         ):
-            raise ConfigError(f"dt must be a positive number, got {self.dt!r}")
+            raise ConfigError(f"dt must be a finite positive number, got {self.dt!r}")
         if not (isinstance(self.out_dir, str) and self.out_dir):
             raise ConfigError(f"out_dir must be a non-empty string, got {self.out_dir!r}")
         if not isinstance(self.require_recovery, bool):
@@ -121,7 +120,7 @@ class ExperimentConfig:
             )
         if not (_is_real(self.reproj_start_kick) and self.reproj_start_kick >= 0):
             raise ConfigError(
-                f"reproj_start_kick must be a number >= 0, got {self.reproj_start_kick!r}"
+                f"reproj_start_kick must be a finite number >= 0, got {self.reproj_start_kick!r}"
             )
         if self.benchmark == "reaction2d" and self.reaction_degree > 3:
             raise ConfigError(f"reaction_degree must be 2 or 3, got {self.reaction_degree}")
@@ -139,7 +138,7 @@ class ExperimentConfig:
         if (r is not None or preset.input_range is not None) and not (
             isinstance(r, (list, tuple)) and len(r) == 2 and all(map(_is_real, r)) and r[0] < r[1]
         ):
-            raise ConfigError(f"input_range must be [low, high] with low < high, got {r!r}")
+            raise ConfigError(f"input_range must be finite [low, high] with low < high, got {r!r}")
         domain = _PARAM_DOMAINS.get(self.benchmark)
         values = self.param_values
         if domain and values is not None and not (
@@ -187,7 +186,9 @@ def _are_integers_upto(values, high):
 
 
 def _is_real(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite float or an int within the float range (not JSON Infinity)."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return number and abs(value) <= sys.float_info.max
 
 
 _PARAM_DOMAINS = {"burgers": (0.1, 1.0), "reaction2d": (1.0, 1.5)}
@@ -497,46 +498,17 @@ _ADAPTERS = {
 # ---------------------------------------------------------------------------
 
 def _project_pieces(model, starts, inputs, basis, num_steps):
-    """Project full simulations onto the basis; keep only what metrics need.
-
-    Simulates one piece per (start, input) pair for `num_steps` steps.
-    Returns a list of (proj_states, x_norm_sq, proj_col_norms_sq) per piece,
-    where proj_states is (nbar, steps + 1) and the squared norms cover the
-    leading `num_steps` columns (the trajectory role X).  Uses the orthogonal
-    split ||V_n Z - X||^2 = ||Z - proj[:n]||^2 + (||X||^2 - ||proj[:n]||^2)
-    so the full states never need to be kept.  A diverging full model raises
-    NumericalFailure.
-    """
+    """Simulate one piece per (start, input) pair for `num_steps` steps and
+    keep only its `diagnostics.project_piece`: the projected states (nbar,
+    steps + 1) and the norms the metrics need.  A diverging full model raises
+    NumericalFailure."""
     out = []
     for x0, U in zip(starts, inputs):
         traj = fom.simulate(model, x0, U[:, :num_steps])
         if traj.diverged:
             raise NumericalFailure(f"full model diverged at step {traj.diverged_at}")
-        proj = subspace.project(basis, traj.states)
-        x_norm_sq = float(np.sum(traj.states[:, :num_steps] ** 2))
-        col_norms_sq = np.sum(proj[:, :num_steps] ** 2, axis=1)
-        out.append((proj, x_norm_sq, col_norms_sq))
+        out.append(diagnostics.project_piece(basis, traj.states, num_steps))
     return out
-
-
-def _split_metrics(traj, pieces, n, num_steps, intrusive_states):
-    """Row metrics for one (parameter, dimension, method) evaluation of a
-    block run `traj`, column l driven like piece l."""
-    if traj.diverged:
-        return float("nan"), float("nan"), True
-    err_sq = ref_sq = diff_sq = tilde_sq = 0.0
-    for l, (proj, x_norm_sq, col_norms_sq) in enumerate(pieces):
-        Z = traj.states[:, :num_steps, l]
-        err_sq += float(np.sum((Z - proj[:n, :num_steps]) ** 2))
-        err_sq += x_norm_sq - float(np.sum(col_norms_sq[:n]))
-        ref_sq += x_norm_sq
-        if intrusive_states is not None:
-            tilde = intrusive_states[:, :num_steps, l]
-            diff_sq += float(np.sum((Z - tilde) ** 2))
-            tilde_sq += float(np.sum(tilde**2))
-    avg_rel = math.sqrt(max(err_sq, 0.0) / ref_sq)
-    traj_diff = float("nan") if intrusive_states is None else math.sqrt(diff_sq / tilde_sq)
-    return avg_rel, traj_diff, False
 
 
 def _plain_fit(model, projected, inputs):
@@ -564,18 +536,20 @@ def _evaluate(config, split, mu, models, residuals, pieces, inputs):
     rows = []
     for n in config.truncation_dims:
         Z0 = np.zeros((n, len(pieces)))
-        tilde = rom.reduced_simulate(rom.truncate(models[0], n), Z0, U_block, K)
-        for method, model, residual in zip(_METHODS, models, residuals):
-            if method == "intrusive":
-                traj, ref = tilde, None
-            else:
-                traj = rom.reduced_simulate(rom.truncate(model, n), Z0, U_block, K)
-                ref = None if tilde.diverged else tilde.states
-            avg_rel, traj_diff, diverged = _split_metrics(traj, pieces, n, K, ref)
+        runs = [rom.reduced_simulate(rom.truncate(m, n), Z0, U_block, K) for m in models]
+        tilde = runs[0]
+        for method, traj, residual in zip(_METHODS, runs, residuals):
+            avg_rel = traj_diff = float("nan")
+            if not traj.diverged:
+                Z = np.moveaxis(traj.states[:, :K], -1, 0)  # one (n, K) per piece
+                avg_rel = diagnostics.pooled_rel_state_error(pieces, Z)
+                if method != "intrusive" and not tilde.diverged:
+                    R = np.moveaxis(tilde.states[:, :K], -1, 0)
+                    traj_diff = diagnostics.pooled_rel_difference(R, Z)
             rows.append(
                 _metric_row(
                     config.benchmark, config.nbar, n, mu, method, split,
-                    avg_rel, traj_diff, diverged, residual,
+                    avg_rel, traj_diff, traj.diverged, residual,
                 )
             )
     return rows
@@ -691,7 +665,7 @@ def run_toy(config):
     model = fom.make_toy_linear(N, seed=config.seed)
     x0 = np.eye(N)[:, 0]
     full = fom.simulate(model, x0, num_steps=K)
-    cond_steps = config.cond_steps or [K // 4, K // 2, 3 * K // 4, K]
+    cond_steps = config.cond_steps or sorted({max(1, q * K // 4) for q in range(1, 5)})
 
     cond_rows, diff_rows = [], []
     for n in config.truncation_dims:

@@ -1,6 +1,7 @@
 """Error metrics, closure error, data conditioning, and the Mori-Zwanzig
 split of projected linear dynamics."""
 
+import math
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -9,7 +10,7 @@ import scipy.linalg as la
 
 from . import fom as _fom
 from .opinf import DataMatrix
-from .subspace import basis_matrix, lift, orthonormal_complement
+from .subspace import basis_matrix, orthonormal_complement, project
 
 UNDERFLOW_GUARD = 1e-300
 
@@ -52,49 +53,81 @@ def _is_diverged(reduced, expected_columns):
     return np.asarray(reduced).shape[1] < expected_columns
 
 
+def project_piece(V, X, num_steps):
+    """(V^T X, ||X||_F^2, squared row norms of V^T X) of a full trajectory X,
+    norms over its leading `num_steps` columns: all that
+    `pooled_rel_state_error` needs of X."""
+    proj = project(V, X)
+    x_norm_sq = float(np.sum(X[:, :num_steps] ** 2))
+    mode_norms_sq = np.sum(proj[:, :num_steps] ** 2, axis=1)
+    return proj, x_norm_sq, mode_norms_sq
+
+
+def pooled_rel_state_error(pieces, reduced):
+    """Relative state error sqrt(sum_l ||V_n Z_l - X_l||_F^2 / sum_l ||X_l||_F^2)
+    of reduced trajectories Z_l (n, K_l): the paper's ||X - V_n Z||_F / ||X||_F
+    with the pieces l of one model side by side.  `pieces` holds `project_piece`
+    of each X_l, and V_n is the leading n columns of their orthonormal basis.
+
+    The split ||V_n Z - X||^2 = ||Z - V_n^T X||^2 + ||X||^2 - ||V_n^T X||^2
+    never lifts Z, but its last two terms cancel: relative errors below about
+    1e-8 are lost in round-off, and a negative sum is clamped to 0.
+    """
+    err_sq = ref_sq = 0.0
+    for (proj, x_norm_sq, mode_norms_sq), Z in zip(pieces, reduced):
+        n, K = Z.shape
+        if n > proj.shape[0]:
+            raise ValueError(f"Z has {n} rows, basis has {proj.shape[0]} columns")
+        err_sq += float(np.sum((Z - proj[:n, :K]) ** 2))
+        err_sq += x_norm_sq - float(np.sum(mode_norms_sq[:n]))
+        ref_sq += x_norm_sq
+    return math.sqrt(max(err_sq, 0.0) / _nonzero(ref_sq))
+
+
+def pooled_rel_difference(references, candidates):
+    """sqrt(sum_l ||Z_l - R_l||_F^2 / sum_l ||R_l||_F^2) of candidate
+    trajectories Z_l from references R_l, pooled as above."""
+    diff_sq = ref_sq = 0.0
+    for R, Z in zip(references, candidates):
+        diff_sq += float(np.sum((Z - R) ** 2))
+        ref_sq += float(np.sum(R**2))
+    return math.sqrt(diff_sq / _nonzero(ref_sq))
+
+
+def _nonzero(ref_sq):
+    if ref_sq == 0.0:
+        raise ValueError("reference trajectories have zero norm")
+    return ref_sq
+
+
 def avg_rel_state_error(full_trajectories, reduced_trajectories, V):
-    """Average relative state error (1/m) sum ||V Z_i - X_i||_F / ||X_i||_F.
+    """`pooled_rel_state_error` of reduced trajectories against full ones on
+    the orthonormal basis V.
 
     Pairs whose reduced trajectory diverged (divergence flag set, or fewer
-    columns than the full trajectory) are excluded from the average and
-    counted separately; the paper's plots show them as missing values.
-    Returns an ErrorSummary(value, used, excluded); value is NaN if every
-    pair diverged.
+    columns than the full trajectory) are left out of the sums and counted
+    separately; the paper's plots show them as missing values.  Returns an
+    ErrorSummary(value, used, excluded); value is NaN if every pair diverged.
     """
-    return _paired_metric(
-        full_trajectories,
-        reduced_trajectories,
-        lambda X, Z: np.linalg.norm(lift(V, Z) - X) / _nonzero_norm(X),
-    )
+    def pooled(Xs, Zs):
+        return pooled_rel_state_error([project_piece(V, X, X.shape[1]) for X in Xs], Zs)
+
+    return _paired_metric(full_trajectories, reduced_trajectories, pooled)
 
 
 def rel_trajectory_difference(reduced_trajectories, reference_trajectories):
-    """Average relative difference (1/m) sum ||Z_i - Xt_i||_F / ||Xt_i||_F.
-
-    Measures how far learned-model trajectories are from the intrusive
-    reduced model's trajectories; divergence handling as in
-    `avg_rel_state_error`.
+    """`pooled_rel_difference` of learned-model trajectories from the
+    intrusive reduced model's; divergence handling as in `avg_rel_state_error`.
     """
-    return _paired_metric(
-        reference_trajectories,
-        reduced_trajectories,
-        lambda Xt, Z: np.linalg.norm(Z - Xt) / _nonzero_norm(Xt),
-    )
+    return _paired_metric(reference_trajectories, reduced_trajectories, pooled_rel_difference)
 
 
-def _nonzero_norm(X):
-    norm = np.linalg.norm(X)
-    if norm == 0.0:
-        raise ValueError("reference trajectory has zero norm")
-    return norm
-
-
-def _paired_metric(references, candidates, pair_error):
+def _paired_metric(references, candidates, pooled):
     if len(references) == 0:
         raise ValueError("empty trajectory list")
     if len(references) != len(candidates):
         raise ValueError("trajectory lists must have equal length")
-    values, excluded = [], 0
+    refs, cands, excluded = [], [], 0
     for ref, cand in zip(references, candidates):
         R = _states(ref)
         if _is_diverged(cand, R.shape[1]):
@@ -103,9 +136,10 @@ def _paired_metric(references, candidates, pair_error):
         C = _states(cand)
         if C.shape[1] != R.shape[1]:
             raise ValueError(f"column mismatch: {C.shape[1]} vs {R.shape[1]}")
-        values.append(pair_error(R, C))
-    value = float(np.mean(values)) if values else float("nan")
-    return ErrorSummary(value=value, used=len(values), excluded=excluded)
+        refs.append(R)
+        cands.append(C)
+    value = pooled(refs, cands) if refs else float("nan")
+    return ErrorSummary(value=value, used=len(refs), excluded=excluded)
 
 
 def condition_number(D):

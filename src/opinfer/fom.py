@@ -13,7 +13,6 @@ attached; `polynomial_step` always goes through the multilinear forms, which
 gives an independent cross-check of each discretization.
 """
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -61,20 +60,6 @@ class Trajectory:
     def Y(self):
         """Columns x_1 .. x_K (outputs of each stored transition)."""
         return self.states[:, 1:]
-
-
-@dataclass(frozen=True)
-class InputTrajectory:
-    """Columns u_0 .. u_{K-1} of an input signal, with seed provenance."""
-
-    inputs: np.ndarray
-    seed: int = None
-
-    def __post_init__(self):
-        if self.inputs.ndim != 2:
-            raise ValueError(f"inputs must be 2-D, got shape {self.inputs.shape}")
-        if not np.isfinite(self.inputs).all():
-            raise ValueError("input entries must be finite")
 
 
 @dataclass(frozen=True)
@@ -144,10 +129,9 @@ def _check_input(model, u):
 def simulate(model, x0, U=None, num_steps=None):
     """Time step a model for `num_steps` steps from x0.
 
-    U holds the input columns u_0 .. (at least num_steps of them); it may be
-    an InputTrajectory or a (p, K) array, and is ignored for input-free
-    models.  Simulation stops early with the divergence flag set as described
-    on `Trajectory`.
+    U holds the input columns u_0 .. (at least num_steps of them) as a
+    (p, K) array, and is ignored for input-free models.  Simulation stops
+    early with the divergence flag set as described on `Trajectory`.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (model.state_dim,):
@@ -159,8 +143,6 @@ def simulate(model, x0, U=None, num_steps=None):
 def _input_columns(model, U, num_steps):
     """Checked input columns (None for an input-free model) and the number of
     steps: `num_steps`, by default one per input column."""
-    if isinstance(U, InputTrajectory):
-        U = U.inputs
     if model.input_dim == 0:
         return None, num_steps or 0
     if U is None:
@@ -197,19 +179,16 @@ def _run(step, x0, U, num_steps):
 
 
 def random_input_trajectory(num_steps, input_dim, low, high, seed):
-    """I.i.d. uniform input columns in [low, high) from a seeded generator."""
+    """I.i.d. uniform input columns in [low, high) from a seeded generator,
+    shape (input_dim, num_steps)."""
     if not low < high:
         raise ValueError(f"need low < high, got [{low}, {high})")
     rng = np.random.default_rng(seed)
-    return InputTrajectory(inputs=rng.uniform(low, high, (input_dim, num_steps)), seed=seed)
+    return rng.uniform(low, high, (input_dim, num_steps))
 
 
 def with_constant_channel(U):
     """Append a constant-one input row (used for constant forcing terms)."""
-    if isinstance(U, InputTrajectory):
-        return InputTrajectory(
-            inputs=np.vstack([U.inputs, np.ones(U.inputs.shape[1])]), seed=U.seed
-        )
     U = np.asarray(U, dtype=float)
     return np.vstack([U, np.ones(U.shape[1])])
 
@@ -448,23 +427,3 @@ def make_diffusion_reaction_2d(mu, grid_points_per_dim=64, dt=1e-2, degree=3):
         label="diffusion-reaction-2d",
         step_impl=step_impl,
     )
-
-
-# ---------------------------------------------------------------------------
-# CSV export
-# ---------------------------------------------------------------------------
-
-def save_trajectory_csv(trajectory, path):
-    """Write a trajectory as CSV with header k,x0,...,x{N-1}."""
-    states = trajectory.states
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k"] + [f"x{i}" for i in range(states.shape[0])])
-        for k in range(states.shape[1]):
-            writer.writerow([k] + [f"{v:.17g}" for v in states[:, k]])
-
-
-def load_trajectory_csv(path):
-    """Read a trajectory written by `save_trajectory_csv`."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return Trajectory(states=data[:, 1:].T.copy())

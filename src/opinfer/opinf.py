@@ -122,8 +122,6 @@ def assemble_data_matrix(states, U, degree, source="projected"):
     blocks = [compressed_power_matrix(states, i) for i in range(1, degree + 1)]
     p = 0
     if U is not None:
-        if isinstance(U, _fom.InputTrajectory):
-            U = U.inputs
         U = np.asarray(U, dtype=float)
         if U.shape[1] != states.shape[1]:
             raise ValueError(
@@ -159,8 +157,6 @@ def concat_trajectories(pieces):
         xs.append(states[:, :-1])
         ys.append(states[:, 1:])
         if U is not None:
-            if isinstance(U, _fom.InputTrajectory):
-                U = U.inputs
             us.append(np.asarray(U, dtype=float)[:, :k])
     dims = {x.shape[0] for x in xs}
     if len(dims) != 1:
@@ -408,8 +404,6 @@ def reprojected_data(model, basis, x0, inputs, reproj_horizon=None):
         raise ValueError("one initial condition per input trajectory required")
     pieces = []
     for x0_piece, U in zip(starts, inputs):
-        if isinstance(U, _fom.InputTrajectory):
-            U = U.inputs
         U = np.asarray(U, dtype=float)
         horizon = U.shape[1] if reproj_horizon is None else min(reproj_horizon, U.shape[1])
         bar = reproject_sample(model, basis, x0_piece, U[:, :horizon])

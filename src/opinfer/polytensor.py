@@ -4,60 +4,21 @@ The i-th power of a vector x of length N is the i-fold Kronecker product
 x (x) ... (x) x with duplicate entries (equal up to commutativity) removed.
 Every operation in this package that touches polynomial terms relies on the
 single ordering convention fixed here: monomials are indexed by sorted index
-tuples, enumerated lexicographically.  The ordering tag is recorded in model
-manifests as ``ORDERING_CONVENTION``.
+tuples, enumerated lexicographically (`multiset_indices`), and
+`compressed_power_matrix` evaluates them.
 """
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 import scipy.sparse as sparse
 
-ORDERING_CONVENTION = "sorted-multiset-lex-v1"
-
 # Largest N**i the dense Kronecker-side helpers will materialize.  These
 # selection/duplication matrices exist as small-scale oracles only; nothing
 # in the production path builds an N**i object.
 MAX_FULL_KRON_SIZE = 1 << 22
-
-
-@dataclass(frozen=True)
-class MultisetIndex:
-    """A monomial index: a non-decreasing tuple of mode indices."""
-
-    entries: tuple
-
-    def __post_init__(self):
-        if len(self.entries) == 0:
-            raise ValueError("multiset index needs at least one entry")
-        if any(e < 0 for e in self.entries):
-            raise ValueError(f"negative mode index in {self.entries}")
-        if any(a > b for a, b in zip(self.entries, self.entries[1:])):
-            raise ValueError(f"entries must be non-decreasing, got {self.entries}")
-
-    @property
-    def degree(self):
-        return len(self.entries)
-
-
-@dataclass(frozen=True)
-class CompressedPower:
-    """Values of all degree-`degree` monomials of one state vector."""
-
-    degree: int
-    base_dim: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        expected = compressed_dim(self.base_dim, self.degree)
-        if self.values.shape != (expected,):
-            raise ValueError(
-                f"compressed power of dimension {self.base_dim}, degree "
-                f"{self.degree} must have length {expected}, got {self.values.shape}"
-            )
 
 
 def compressed_dim(base_dim, degree):
@@ -88,20 +49,14 @@ def multiset_indices(base_dim, degree):
     return idx
 
 
-def enumerate_multisets(base_dim, degree):
-    """The canonical enumeration of `multiset_indices` as MultisetIndex objects."""
-    return [MultisetIndex(tuple(int(v) for v in row)) for row in multiset_indices(base_dim, degree)]
-
-
 def multiplicity(alpha):
-    """Number of distinct orderings of the index tuple `alpha`.
+    """Number of distinct orderings of the sorted index tuple `alpha`.
 
     The multinomial coefficient degree! / prod(repetition counts!).
     """
-    entries = alpha.entries if isinstance(alpha, MultisetIndex) else tuple(alpha)
-    count = math.factorial(len(entries))
+    count = math.factorial(len(alpha))
     run = 1
-    for a, b in zip(entries, entries[1:]):
+    for a, b in zip(alpha, alpha[1:]):
         run = run + 1 if a == b else 1
         if run > 1:
             count //= run
@@ -114,22 +69,13 @@ def multiplicities(base_dim, degree):
     return np.array([multiplicity(row) for row in idx], dtype=float)
 
 
-def compressed_power(x, degree):
-    """Compressed `degree`-th Kronecker power of a state vector.
+def compressed_power_matrix(X, degree):
+    """Compressed powers of a state vector (n,) or of each column of an (n, K)
+    block, shape (n_i,) or (n_i, K): the one monomial kernel of the package.
 
     The entry at index tuple (a_1, ..., a_i) is the monomial
     x[a_1] * ... * x[a_i]; for degree 1 the values are x itself.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError(f"expected a vector, got shape {x.shape}")
-    values = compressed_power_matrix(x, degree)
-    return CompressedPower(degree=degree, base_dim=x.size, values=values)
-
-
-def compressed_power_matrix(X, degree):
-    """Compressed powers of a state vector (n,) or of each column of an (n, K)
-    block, shape (n_i,) or (n_i, K): the one monomial kernel of the package."""
     X = np.asarray(X, dtype=float)
     if X.ndim not in (1, 2):
         raise ValueError(f"expected a vector or a matrix, got shape {X.shape}")
@@ -148,7 +94,7 @@ def symmetrized_compressed_power(vectors):
 
     The entry at index tuple alpha is the average over all argument
     permutations of prod_j vectors[j][alpha_{sigma(j)}].  With identical
-    arguments this reduces to `compressed_power`.  Applying a compressed
+    arguments this reduces to `compressed_power_matrix`.  Applying a compressed
     operator matrix to this vector realizes the symmetric multilinear form
     that the operator induces.
     """
@@ -175,7 +121,7 @@ def selection_matrix(base_dim, degree):
 
     Shape (N_i, N**i).  Row alpha has its single 1 at the position of the
     sorted representative of alpha inside the full Kronecker index space, so
-    compressed_power(x, i).values == selection_matrix(N, i) @ kron_power(x, i).
+    compressed_power_matrix(x, i) == selection_matrix(N, i) @ kron_power(x, i).
     Oracle scale only; guarded by MAX_FULL_KRON_SIZE.
     """
     full = _guard_full_size(base_dim, degree)
@@ -193,7 +139,7 @@ def duplication_matrix(base_dim, degree):
 
     Shape (N**i, N_i).  Row q has its 1 in the column of the multiset obtained
     by sorting q's index tuple, so kron_power(x, i) == duplication_matrix(N, i)
-    @ compressed_power(x, i).values.  Column sums equal `multiplicity`.
+    @ compressed_power_matrix(x, i).  Column sums equal `multiplicity`.
     """
     full = _guard_full_size(base_dim, degree)
     idx = multiset_indices(base_dim, degree)

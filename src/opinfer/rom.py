@@ -1,8 +1,6 @@
-"""Reduced polynomial models: Galerkin projection, simulation, truncation,
-parameter interpolation, and the CSV bundle format."""
+"""Reduced polynomial models: Galerkin projection, simulation, truncation and
+parameter interpolation."""
 
-import json
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,7 +8,6 @@ from scipy.interpolate import CubicSpline
 
 from . import fom as _fom
 from .polytensor import (
-    ORDERING_CONVENTION,
     compressed_dim,
     compressed_power_matrix,
     multiset_indices,
@@ -201,58 +198,4 @@ def interpolate(parameters, models, target):
         input_matrix=B,
         provenance="interpolated",
         parameter=float(target),
-    )
-
-
-# ---------------------------------------------------------------------------
-# CSV bundle serialization
-# ---------------------------------------------------------------------------
-
-MANIFEST_SCHEMA = "opinfer-model-v1"
-
-
-def save_model_bundle(model, directory, seed=None):
-    """Write a model as one CSV per operator plus a JSON manifest."""
-    os.makedirs(directory, exist_ok=True)
-    for i, A in enumerate(model.operators, start=1):
-        np.savetxt(os.path.join(directory, f"A{i}.csv"), A, fmt="%.17g", delimiter=",")
-    if model.input_matrix is not None:
-        np.savetxt(os.path.join(directory, "B.csv"), model.input_matrix, fmt="%.17g", delimiter=",")
-    manifest = {
-        "schema": MANIFEST_SCHEMA,
-        "ordering": ORDERING_CONVENTION,
-        "degree": model.degree,
-        "reduced_dim": model.reduced_dim,
-        "input_dim": model.input_dim,
-        "provenance": model.provenance,
-        "parameter": None if model.parameter is None else float(model.parameter),
-        "seed": seed,
-    }
-    with open(os.path.join(directory, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_model_bundle(directory):
-    """Read a model bundle written by `save_model_bundle`."""
-    with open(os.path.join(directory, "manifest.json")) as fh:
-        manifest = json.load(fh)
-    if manifest.get("schema") != MANIFEST_SCHEMA:
-        raise ValueError(f"unknown bundle schema {manifest.get('schema')!r}")
-    if manifest.get("ordering") != ORDERING_CONVENTION:
-        raise ValueError(f"bundle uses ordering {manifest.get('ordering')!r}")
-    n = manifest["reduced_dim"]
-    operators = []
-    for i in range(1, manifest["degree"] + 1):
-        A = np.loadtxt(os.path.join(directory, f"A{i}.csv"), delimiter=",", ndmin=2)
-        operators.append(A.reshape(n, compressed_dim(n, i)))
-    B = None
-    if manifest["input_dim"]:
-        B = np.loadtxt(os.path.join(directory, "B.csv"), delimiter=",", ndmin=2)
-        B = B.reshape(n, manifest["input_dim"])
-    return PolynomialModel(
-        operators=tuple(operators),
-        input_matrix=B,
-        provenance=manifest["provenance"],
-        parameter=manifest["parameter"],
     )

@@ -96,23 +96,3 @@ def orthonormal_complement(V):
     """Orthonormal basis of the complement of span(V), shape (N, N - n)."""
     M = basis_matrix(V)
     return la.null_space(M.T)
-
-
-def save_basis_csv(basis, path):
-    """Write a basis column-major: row j holds sigma_j followed by mode v_j."""
-    sv = basis.singular_values
-    with open(path, "w", newline="") as fh:
-        fh.write("sigma," + ",".join(f"x{i}" for i in range(basis.state_dim)) + "\n")
-        for j in range(basis.reduced_dim):
-            s = sv[j] if sv is not None and j < sv.size else float("nan")
-            fh.write(",".join(f"{v:.17g}" for v in [s, *basis.matrix[:, j]]) + "\n")
-
-
-def load_basis_csv(path):
-    """Read a basis written by `save_basis_csv`.
-
-    Only the stored leading singular values survive a round trip; the tail of
-    the spectrum is a diagnostic of the original snapshot matrix.
-    """
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return Basis(data[:, 1:].T.copy(), singular_values=data[:, 0].copy())

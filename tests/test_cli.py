@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from opinfer import cli, opinf, subspace
+from opinfer import cli, diagnostics, fom, opinf, rom, subspace
 
 
 def _write_config(tmp_path, **entries):
@@ -136,6 +136,10 @@ _BAD_CONFIG_ENTRIES = [
     ("toy", "cond_steps", [500]),  # num_steps is 100
     ("custom", "require_recovery", "no"),
     ("toy", "out_dir", 5),
+    ("custom", "input_range", [0.0, float("inf")]),
+    ("custom", "input_range", [0, 10**400]),  # beyond the float range
+    ("reaction2d", "reproj_start_kick", float("inf")),
+    ("burgers", "dt", float("inf")),
 ]
 
 
@@ -251,6 +255,59 @@ def test_toy_runner_is_byte_identical(tmp_path):
         cli.run_toy(config).write(config.out_dir)
     for name in ("metrics.csv", "certify.csv", "toy_cond.csv", "toy_diff.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_toy_default_cond_steps_are_positive():
+    config = cli.default_config("toy")
+    config.num_steps = 3
+    header, rows = cli.run_toy(config).extras["toy_cond.csv"]
+    assert header == "n,K,cond"
+    for n in config.truncation_dims:
+        assert [K for m, K, _ in rows if m == n] == [1, 2, 3]
+    assert all(np.isfinite(cond) for _, _, cond in rows)
+
+
+def test_avg_rel_error_pools_the_training_pieces(monkeypatch):
+    """On a training split of two pieces of unequal norm, the avg_rel_error
+    of metrics.csv is `diagnostics.avg_rel_state_error` of the same full and
+    reduced pieces, which pools them; the mean of the per-piece ratios
+    differs."""
+    config = cli.default_config("custom")
+    config.num_inputs = 2
+    unscaled = cli._CustomAdapter.reproj_inputs
+    monkeypatch.setattr(
+        cli._CustomAdapter,
+        "reproj_inputs",
+        lambda self, j: [U * c for U, c in zip(unscaled(self, j), (1.0, 3.0))],
+    )
+    report = cli.run_study(config)
+    errors = {
+        row["n"]: row["avg_rel_error"]
+        for row in report.metric_rows
+        if row["split"] == "train" and row["method"] == "intrusive"
+    }
+
+    adapter = cli._CustomAdapter(config)
+    model = adapter.factory(None)
+    inputs = adapter.reproj_inputs(0)
+    x0 = np.zeros(model.state_dim)
+    basis, _ = opinf.snapshot_basis([model], [x0], [inputs], config.nbar)
+    intrusive = rom.galerkin_project(model, basis)
+    full = [fom.simulate(model, x0, U).X for U in inputs]
+    norms = [np.linalg.norm(X) for X in full]
+    assert max(norms) > 2.0 * min(norms)
+    for n in config.truncation_dims:
+        reduced = [
+            rom.reduced_simulate(rom.truncate(intrusive, n), np.zeros(n), U).X for U in inputs
+        ]
+        pooled = diagnostics.avg_rel_state_error(full, reduced, basis.truncated(n))
+        assert pooled.used == 2
+        assert errors[n] == pytest.approx(pooled.value, rel=1e-12)
+        ratios = [
+            np.linalg.norm(basis.matrix[:, :n] @ Z - X) / np.linalg.norm(X)
+            for X, Z in zip(full, reduced)
+        ]
+        assert abs(np.mean(ratios) - pooled.value) > 1e-6 * pooled.value
 
 
 def _small_burgers_config(tmp_path, seed=1):

@@ -94,7 +94,8 @@ def test_rel_trajectory_difference_zero_and_value():
     B = rng.normal(size=(3, 5))
     assert diagnostics.rel_trajectory_difference([A], [A.copy()]).value == 0.0
     two = diagnostics.rel_trajectory_difference([A, B], [A, A])
-    expected = 0.5 * np.linalg.norm(A - B) / np.linalg.norm(A)
+    # pooled over both pairs: sqrt((0 + ||B - A||^2) / (||A||^2 + ||A||^2))
+    expected = np.linalg.norm(A - B) / (np.sqrt(2.0) * np.linalg.norm(A))
     assert two.value == pytest.approx(expected, rel=1e-13)
 
 

@@ -72,13 +72,13 @@ def test_assemble_data_matrix_blocks():
 
 
 def test_assemble_data_matrix_power_consistency():
-    from opinfer.polytensor import compressed_power
+    from opinfer.polytensor import compressed_power_matrix
 
     rng = np.random.default_rng(8)
     X = rng.normal(size=(4, 6))
     data = opinf.assemble_data_matrix(X, None, degree=3)
     for k in range(6):
-        col = np.concatenate([compressed_power(X[:, k], i).values for i in (1, 2, 3)])
+        col = np.concatenate([compressed_power_matrix(X[:, k], i) for i in (1, 2, 3)])
         assert np.allclose(data.matrix[:, k], col, rtol=1e-13)
 
 

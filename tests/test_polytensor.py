@@ -24,10 +24,14 @@ def test_compressed_dim_huge_arguments_are_exact():
     assert value == (10**6 + 2) * (10**6 + 1) * 10**6 // 6
 
 
-def test_enumerate_multisets_small_cases():
-    assert [m.entries for m in pt.enumerate_multisets(2, 2)] == [(0, 0), (0, 1), (1, 1)]
-    assert [m.entries for m in pt.enumerate_multisets(3, 1)] == [(0,), (1,), (2,)]
-    assert [m.entries for m in pt.enumerate_multisets(2, 3)] == [
+def _tuples(base_dim, degree):
+    return [tuple(row) for row in pt.multiset_indices(base_dim, degree).tolist()]
+
+
+def test_multiset_indices_small_cases():
+    assert _tuples(2, 2) == [(0, 0), (0, 1), (1, 1)]
+    assert _tuples(3, 1) == [(0,), (1,), (2,)]
+    assert _tuples(2, 3) == [
         (0, 0, 0),
         (0, 0, 1),
         (0, 1, 1),
@@ -37,41 +41,32 @@ def test_enumerate_multisets_small_cases():
 
 def test_enumeration_is_a_bijection():
     for N, i in [(2, 2), (3, 3), (5, 2), (4, 4), (8, 3)]:
-        seen = {m.entries for m in pt.enumerate_multisets(N, i)}
+        seen = set(_tuples(N, i))
         assert len(seen) == pt.compressed_dim(N, i)
         assert all(tuple(sorted(t)) == t and max(t) < N for t in seen)
 
 
-def test_multiset_index_validation():
-    with pytest.raises(ValueError):
-        pt.MultisetIndex((1, 0))
-    with pytest.raises(ValueError):
-        pt.MultisetIndex((-1, 0))
-    with pytest.raises(ValueError):
-        pt.MultisetIndex(())
-
-
 def test_compressed_power_examples():
-    assert np.array_equal(pt.compressed_power([1.0, 2.0], 2).values, [1.0, 2.0, 4.0])
+    assert np.array_equal(pt.compressed_power_matrix([1.0, 2.0], 2), [1.0, 2.0, 4.0])
     for i in range(1, 5):
-        assert np.allclose(pt.compressed_power([3.0], i).values, [3.0**i])
+        assert np.allclose(pt.compressed_power_matrix([3.0], i), [3.0**i])
     assert np.array_equal(
-        pt.compressed_power([1.0, 0.0, 2.0], 2).values, [1.0, 0.0, 2.0, 0.0, 0.0, 4.0]
+        pt.compressed_power_matrix([1.0, 0.0, 2.0], 2), [1.0, 0.0, 2.0, 0.0, 0.0, 4.0]
     )
 
 
 def test_compressed_power_degree_one_returns_state():
     x = np.array([0.5, -2.0, 3.0])
-    assert np.array_equal(pt.compressed_power(x, 1).values, x)
+    assert np.array_equal(pt.compressed_power_matrix(x, 1), x)
 
 
 def test_compressed_power_monomial_values():
     rng = np.random.default_rng(7)
     for N, i in [(2, 2), (3, 3), (5, 2), (4, 4)]:
         x = rng.normal(size=N)
-        cp = pt.compressed_power(x, i)
-        for k, alpha in enumerate(pt.enumerate_multisets(N, i)):
-            assert cp.values[k] == pytest.approx(np.prod([x[a] for a in alpha.entries]), rel=1e-14)
+        cp = pt.compressed_power_matrix(x, i)
+        for k, alpha in enumerate(_tuples(N, i)):
+            assert cp[k] == pytest.approx(np.prod([x[a] for a in alpha]), rel=1e-14)
 
 
 def test_compressed_power_homogeneity():
@@ -79,15 +74,15 @@ def test_compressed_power_homogeneity():
     for i in range(1, 5):
         x = rng.normal(size=6)
         c = rng.normal()
-        scaled = pt.compressed_power(c * x, i).values
-        assert np.allclose(scaled, c**i * pt.compressed_power(x, i).values, rtol=1e-12)
+        scaled = pt.compressed_power_matrix(c * x, i)
+        assert np.allclose(scaled, c**i * pt.compressed_power_matrix(x, i), rtol=1e-12)
 
 
 def test_multiplicity_examples():
     assert pt.multiplicity((0, 0)) == 1
     assert pt.multiplicity((0, 1)) == 2
     assert pt.multiplicity((0, 0, 1)) == 3
-    assert pt.multiplicity(pt.MultisetIndex((0, 1, 2))) == 6
+    assert pt.multiplicity((0, 1, 2)) == 6
 
 
 def test_multiplicities_sum_to_full_kron_dimension():
@@ -120,7 +115,7 @@ def test_duplication_matrix_rows_and_column_sums():
 def test_duplication_expands_compressed_power():
     x = np.array([1.0, 2.0])
     assert np.array_equal(
-        pt.duplication_matrix(2, 2) @ pt.compressed_power(x, 2).values, [1.0, 2.0, 2.0, 4.0]
+        pt.duplication_matrix(2, 2) @ pt.compressed_power_matrix(x, 2), [1.0, 2.0, 2.0, 4.0]
     )
 
 
@@ -131,7 +126,7 @@ def test_compressed_power_matches_kron_side_exactly():
         for i in range(1, 5):
             x = rng.normal(size=N)
             picked = pt.selection_matrix(N, i) @ pt.kron_power(x, i)
-            assert np.array_equal(picked, pt.compressed_power(x, i).values)
+            assert np.array_equal(picked, pt.compressed_power_matrix(x, i))
 
 
 def test_full_kron_size_guard():
@@ -149,7 +144,7 @@ def test_compressed_power_matrix_is_the_columnwise_power():
         assert block.shape == (pt.compressed_dim(5, i), 4)
         for j in range(4):
             column = pt.compressed_power_matrix(X[:, j], i)
-            assert np.array_equal(column, pt.compressed_power(X[:, j], i).values)
+            assert np.array_equal(column, pt.selection_matrix(5, i) @ pt.kron_power(X[:, j], i))
             assert np.array_equal(block[:, j], column)
     with pytest.raises(ValueError):
         pt.compressed_power_matrix(np.zeros((2, 2, 2)), 2)
@@ -160,7 +155,7 @@ def test_symmetrized_compressed_power_reduces_to_power():
     x = rng.normal(size=4)
     for i in (2, 3):
         sym = pt.symmetrized_compressed_power([x] * i)
-        assert np.allclose(sym, pt.compressed_power(x, i).values, rtol=1e-13)
+        assert np.allclose(sym, pt.compressed_power_matrix(x, i), rtol=1e-13)
 
 
 def test_symmetrized_compressed_power_is_symmetric():
@@ -175,6 +170,6 @@ def test_symmetrized_compressed_power_is_symmetric():
 
 def test_truncation_mask_filters_low_modes():
     mask = pt.truncation_mask(3, 2, 2)
-    kept = [m.entries for m, keep in zip(pt.enumerate_multisets(3, 2), mask) if keep]
+    kept = [alpha for alpha, keep in zip(_tuples(3, 2), mask) if keep]
     assert kept == [(0, 0), (0, 1), (1, 1)]
-    assert kept == [m.entries for m in pt.enumerate_multisets(2, 2)]
+    assert kept == _tuples(2, 2)

@@ -274,18 +274,3 @@ def test_polynomial_model_validation():
         rom.PolynomialModel(operators=(np.full((2, 2), np.nan),))
     with pytest.raises(ValueError):
         rom.PolynomialModel(operators=(np.eye(2),), provenance="guessed")
-
-
-def test_model_bundle_roundtrip(tmp_path):
-    model = fom.make_random_polynomial(5, 2, input_dim=1, seed=17)
-    rng = np.random.default_rng(17)
-    basis = subspace.pod_basis(rng.normal(size=(5, 9)), 3)
-    reduced = rom.galerkin_project(model, basis)
-    bundle = tmp_path / "bundle"
-    rom.save_model_bundle(reduced, bundle, seed=17)
-    loaded = rom.load_model_bundle(bundle)
-    for A, B in zip(loaded.operators, reduced.operators):
-        assert np.allclose(A, B, rtol=1e-15)
-    assert np.allclose(loaded.input_matrix, reduced.input_matrix, rtol=1e-15)
-    assert loaded.provenance == "intrusive"
-    assert (bundle / "manifest.json").exists()

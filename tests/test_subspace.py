@@ -114,13 +114,3 @@ def test_orthonormal_complement():
     assert C.shape == (7, 4)
     assert np.abs(C.T @ C - np.eye(4)).max() <= 1e-12
     assert np.abs(basis.matrix.T @ C).max() <= 1e-12
-
-
-def test_basis_csv_roundtrip(tmp_path):
-    rng = np.random.default_rng(9)
-    basis = subspace.pod_basis(rng.normal(size=(6, 11)), 3)
-    path = tmp_path / "basis.csv"
-    subspace.save_basis_csv(basis, path)
-    loaded = subspace.load_basis_csv(path)
-    assert np.allclose(loaded.matrix, basis.matrix, rtol=1e-15)
-    assert np.allclose(loaded.singular_values, basis.singular_values[:3], rtol=1e-15)
