@@ -525,31 +525,74 @@ def _plain_fit(model, projected, inputs):
 
 _METHODS = ("intrusive", "opinf-reproj", "opinf-plain")
 
+# The stack of `_evaluate` holds len(dims) * len(_METHODS) runs per piece.  A
+# group of pieces stacks no more states than the three runs of one dimension
+# over all pieces, which is what stepping one dimension at a time would hold,
+# or than _STACK_BYTES if that is more.
+_STACK_BYTES = 128 << 20
+
+
+def _piece_groups(num_pieces, dims, num_steps):
+    piece_bytes = len(dims) * len(_METHODS) * max(dims) * (num_steps + 1) * 8
+    size = max(num_pieces // len(dims), _STACK_BYTES // piece_bytes, 1)
+    return [range(lo, min(lo + size, num_pieces)) for lo in range(0, num_pieces, size)]
+
+
+def _group_sums(models, dims, num_steps, pieces, inputs, skip):
+    """Step one group of pieces as one stack of `rom.simulate_truncations`.
+    Returns, per (n, method), whether it is in `skip` or diverged on a piece
+    of the group, and its `state_error_sums` and `difference_sums` to the
+    intrusive model over the group (0 where either model diverged)."""
+    K = num_steps
+    U_block = np.stack([U[:, :K] for U in inputs], axis=-1)  # (p, K, pieces)
+    stack = rom.simulate_truncations(models, dims, U_block, K)
+    # (n_max, K+1, n, method, piece) -> an (n, method, piece, n_max, K+1) view
+    runs = stack.states.reshape(-1, K + 1, len(dims), len(models), len(pieces))
+    runs = np.moveaxis(runs, (0, 1), (3, 4))
+    diverged = skip.copy()
+    if stack.diverged:
+        diverged |= stack.diverged_at.reshape(runs.shape[:3]).any(axis=-1)
+    errors = np.zeros(diverged.shape + (2,))
+    diffs = np.zeros(diverged.shape + (2,))
+    for d, n in enumerate(dims):
+        for j in np.flatnonzero(~diverged[d]):
+            Z = runs[d, j, :, :n, :K]  # one (n, K) per piece
+            errors[d, j] = diagnostics.state_error_sums(pieces, Z)
+            if j and not diverged[d, 0]:
+                diffs[d, j] = diagnostics.difference_sums(runs[d, 0, :, :n, :K], Z)
+    return diverged, errors, diffs
+
 
 def _evaluate(config, split, mu, models, residuals, pieces, inputs):
     """Metric rows of one parameter: every model of `models` (one per method
     in _METHODS) truncated to each dimension and run from zero on `inputs`,
-    whose projected full trajectories are `pieces`.  The learned models are
-    compared with the intrusive one unless that diverged."""
-    K = config.num_steps
-    U_block = np.stack([U[:, :K] for U in inputs], axis=-1)  # (p, K, pieces)
+    whose projected full trajectories are `pieces`, in one stack per group
+    of pieces (`_piece_groups`, `_group_sums`).  A model has diverged when
+    any of its pieces did.  The learned models are compared with the
+    intrusive one unless that diverged."""
+    K, dims = config.num_steps, config.truncation_dims
+    diverged = np.zeros((len(dims), len(models)), dtype=bool)
+    errors = np.zeros((len(dims), len(models), 2))
+    diffs = np.zeros((len(dims), len(models), 2))
+    for group in _piece_groups(len(pieces), dims, K):
+        # the group's stack is freed when _group_sums returns
+        diverged, group_errors, group_diffs = _group_sums(
+            models, dims, K, [pieces[l] for l in group], [inputs[l] for l in group], diverged
+        )
+        errors += group_errors
+        diffs += group_diffs
     rows = []
-    for n in config.truncation_dims:
-        Z0 = np.zeros((n, len(pieces)))
-        runs = [rom.reduced_simulate(rom.truncate(m, n), Z0, U_block, K) for m in models]
-        tilde = runs[0]
-        for method, traj, residual in zip(_METHODS, runs, residuals):
+    for d, n in enumerate(dims):
+        for j, (method, residual) in enumerate(zip(_METHODS, residuals)):
             avg_rel = traj_diff = float("nan")
-            if not traj.diverged:
-                Z = np.moveaxis(traj.states[:, :K], -1, 0)  # one (n, K) per piece
-                avg_rel = diagnostics.pooled_rel_state_error(pieces, Z)
-                if method != "intrusive" and not tilde.diverged:
-                    R = np.moveaxis(tilde.states[:, :K], -1, 0)
-                    traj_diff = diagnostics.pooled_rel_difference(R, Z)
+            if not diverged[d, j]:
+                avg_rel = diagnostics.pooled_ratio(errors[d, j])
+                if method != "intrusive" and not diverged[d, 0]:
+                    traj_diff = diagnostics.pooled_ratio(diffs[d, j])
             rows.append(
                 _metric_row(
                     config.benchmark, config.nbar, n, mu, method, split,
-                    avg_rel, traj_diff, traj.diverged, residual,
+                    avg_rel, traj_diff, bool(diverged[d, j]), residual,
                 )
             )
     return rows
@@ -671,7 +714,8 @@ def run_toy(config):
     for n in config.truncation_dims:
         basis = subspace.Basis(np.eye(N)[:, :n])
         intrusive = rom.galerkin_project(model, basis)
-        proj = subspace.project(basis, full.states)
+        piece = diagnostics.project_piece(basis, full.states, K)
+        proj = piece[0]
         tilde = rom.reduced_simulate(intrusive, proj[:, 0], num_steps=K)
 
         bar = opinf.reproject_sample(model, basis, x0, num_steps=K)
@@ -684,23 +728,17 @@ def run_toy(config):
         Z_p = rom.reduced_simulate(model_p, proj[:, 0], num_steps=K)
 
         report.certificate_rows.append(_certificate_row("toy", None, certificate))
-        x_norm = np.linalg.norm(full.states[:, :K])
-        tilde_norm = np.linalg.norm(tilde.states[:, :K])
         for method, traj, residual in (
             ("intrusive", tilde, None),
             ("opinf-reproj", Z_r, resid_r),
             ("opinf-plain", Z_p, resid_p),
         ):
-            if traj.diverged:
-                avg_rel = traj_diff = float("nan")
-            else:
+            avg_rel = traj_diff = float("nan")
+            if not traj.diverged:
                 Z = traj.states[:, :K]
-                avg_rel = float(
-                    np.linalg.norm(subspace.lift(basis, Z) - full.states[:, :K]) / x_norm
-                )
-                traj_diff = float(np.linalg.norm(Z - tilde.states[:, :K]) / tilde_norm)
-                if method == "intrusive":
-                    traj_diff = float("nan")
+                avg_rel = diagnostics.pooled_rel_state_error([piece], [Z])
+                if method != "intrusive" and not tilde.diverged:
+                    traj_diff = diagnostics.pooled_rel_difference([tilde.states[:, :K]], [Z])
             report.metric_rows.append(
                 _metric_row("toy", n, n, None, method, "train",
                             avg_rel, traj_diff, traj.diverged, residual)

@@ -73,6 +73,12 @@ def pooled_rel_state_error(pieces, reduced):
     never lifts Z, but its last two terms cancel: relative errors below about
     1e-8 are lost in round-off, and a negative sum is clamped to 0.
     """
+    return pooled_ratio(state_error_sums(pieces, reduced))
+
+
+def state_error_sums(pieces, reduced):
+    """The two sums of `pooled_rel_state_error`; the sums of groups of
+    pieces add up to those of all pieces."""
     err_sq = ref_sq = 0.0
     for (proj, x_norm_sq, mode_norms_sq), Z in zip(pieces, reduced):
         n, K = Z.shape
@@ -81,23 +87,30 @@ def pooled_rel_state_error(pieces, reduced):
         err_sq += float(np.sum((Z - proj[:n, :K]) ** 2))
         err_sq += x_norm_sq - float(np.sum(mode_norms_sq[:n]))
         ref_sq += x_norm_sq
-    return math.sqrt(max(err_sq, 0.0) / _nonzero(ref_sq))
+    return err_sq, ref_sq
 
 
 def pooled_rel_difference(references, candidates):
     """sqrt(sum_l ||Z_l - R_l||_F^2 / sum_l ||R_l||_F^2) of candidate
     trajectories Z_l from references R_l, pooled as above."""
+    return pooled_ratio(difference_sums(references, candidates))
+
+
+def difference_sums(references, candidates):
+    """The two sums of `pooled_rel_difference`."""
     diff_sq = ref_sq = 0.0
     for R, Z in zip(references, candidates):
         diff_sq += float(np.sum((Z - R) ** 2))
         ref_sq += float(np.sum(R**2))
-    return math.sqrt(diff_sq / _nonzero(ref_sq))
+    return diff_sq, ref_sq
 
 
-def _nonzero(ref_sq):
+def pooled_ratio(sums):
+    """sqrt(max(a, 0) / b) of the sums (a, b) of a pooled metric."""
+    num_sq, ref_sq = sums
     if ref_sq == 0.0:
         raise ValueError("reference trajectories have zero norm")
-    return ref_sq
+    return math.sqrt(max(num_sq, 0.0) / ref_sq)
 
 
 def avg_rel_state_error(full_trajectories, reduced_trajectories, V):

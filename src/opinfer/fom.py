@@ -33,13 +33,20 @@ class Trajectory:
     `simulate` stores K+1 columns for K requested steps.  If a non-finite
     state appears, storage stops before it: `diverged_at` is the sequence
     index of the first non-finite state and only the finite columns x_0 ..
-    x_{diverged_at - 1} are kept.  The `X`/`Y` views always pair valid
-    one-step transitions.  A block of m sequences stepped side by side has
-    states of shape (dim, K+1, m): time stays on axis 1.
+    x_{diverged_at - 1} are kept.  The `X`/`Y` views pair valid one-step
+    transitions.
+
+    A block of m sequences stepped side by side has states of shape
+    (dim, K+1, m): time stays on axis 1, and all K+1 steps are kept.  A
+    sequence of the block that diverges is frozen at its last finite state
+    while the others go on, so its frozen columns are no transitions;
+    `diverged_at` is then an (m,) integer array of each sequence's first
+    non-finite index, 0 for the sequences that stayed finite, and None if
+    all of them did.
     """
 
     states: np.ndarray
-    diverged_at: int = None
+    diverged_at: int | np.ndarray | None = None
 
     def __post_init__(self):
         if self.states.ndim not in (2, 3):
@@ -160,21 +167,34 @@ def _run(step, x0, U, num_steps):
 
     x0 is one start (dim,) with inputs (p, K), or a block of m starts
     (dim, m) with inputs (p, K, m) that `step` advances side by side; U is
-    None for an input-free model.  The first non-finite column stops the
-    whole run (see `Trajectory`).
+    None for an input-free model.  A non-finite single run stops; in a block
+    only the non-finite column stops, frozen at its last finite state, so
+    its overflow never reaches the stored states (see `Trajectory`).  The
+    per-column test runs only on a step whose whole-block check fails.
     """
     x0 = np.asarray(x0, dtype=float)
     if not np.isfinite(x0).all():
         raise ValueError("x0 must be finite")
     states = np.empty((x0.shape[0], num_steps + 1) + x0.shape[1:])
     states[:, 0] = x0
+    diverged_at = np.zeros(x0.shape[1], dtype=int) if x0.ndim == 2 else None
+    frozen = None
     # divergence is detected, not propagated: overflow warnings are expected
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(num_steps):
             x = step(states[:, k], None if U is None else U[:, k])
+            if frozen is not None:
+                np.copyto(x, states[:, k], where=frozen)
             if not np.isfinite(x).all():
-                return Trajectory(states=states[:, : k + 1].copy(), diverged_at=k + 1)
+                if diverged_at is None:
+                    return Trajectory(states=states[:, : k + 1].copy(), diverged_at=k + 1)
+                bad = ~np.isfinite(x).all(axis=0)
+                diverged_at[bad] = k + 1
+                frozen = diverged_at > 0
+                np.copyto(x, states[:, k], where=bad)
             states[:, k + 1] = x
+    if diverged_at is not None and diverged_at.any():
+        return Trajectory(states=states, diverged_at=diverged_at)
     return Trajectory(states=states)
 
 

@@ -119,8 +119,9 @@ def reduced_simulate(model, z0, U=None, num_steps=None):
     """Time step a reduced model; same conventions as `fom.simulate`.
 
     z0 is one start (n,) with inputs (p, K), or a block of m starts (n, m)
-    with inputs (p, K, m), stepped side by side into states (n, K+1, m); the
-    first non-finite column stops the whole block.
+    with inputs (p, K, m), stepped side by side into states (n, K+1, m); a
+    column that turns non-finite is frozen and the others go on (see
+    `fom.Trajectory`).
     """
     z0 = np.asarray(z0, dtype=float)
     if z0.ndim not in (1, 2) or z0.shape[0] != model.reduced_dim:
@@ -129,6 +130,55 @@ def reduced_simulate(model, z0, U=None, num_steps=None):
     if U is not None and U.shape[2:] != z0.shape[1:]:
         raise ValueError(f"inputs of shape {U.shape} do not match starts of shape {z0.shape}")
     return _fom._run(model.step, z0, U, num_steps)
+
+
+def simulate_truncations(models, dims, U, num_steps):
+    """Every model of `models` truncated to every n of `dims`, stepped from
+    zero as one stack in one time loop.
+
+    Each truncated model is padded to n_max = max(dims) modes: its rows from
+    n on are zero, and so are its columns outside `truncation_mask(n_max, i,
+    n)`.  The M = len(dims) * len(models) padded operators are stacked in the
+    order (n, model), and their states side by side as an (n_max, M * m)
+    block, m being the number of input columns U (p, K, m) holds; the inputs
+    broadcast over the models.  Returns the block `fom.Trajectory` of
+    `fom._run`, states (n_max, K+1, M * m): columns s*m .. s*m + m-1 are
+    stack entry s, whose trailing modes stay exactly zero, so that its
+    leading n rows are the run of `truncate(model, n)`.  A diverged entry
+    only freezes its own columns.
+    """
+    template = models[0]
+    if any((mod.degree, mod.input_dim) != (template.degree, template.input_dim) for mod in models):
+        raise ValueError("models disagree in degree or input dimension")
+    U, num_steps = _fom._input_columns(template, U, num_steps)
+    if U is not None and U.ndim != 3:
+        raise ValueError(f"inputs must have shape (p, K, m), got {U.shape}")
+    n_max, M = max(dims), len(dims) * len(models)
+    m = 1 if U is None else U.shape[2]
+    operators = [
+        np.zeros((M, n_max, compressed_dim(n_max, i))) for i in range(1, template.degree + 1)
+    ]
+    B = None if U is None else np.zeros((M, n_max, template.input_dim))
+    for s, small in enumerate(truncate(model, n) for n in dims for model in models):
+        n = small.reduced_dim
+        for i, (A, A_n) in enumerate(zip(operators, small.operators), start=1):
+            A[s, :n][:, truncation_mask(n_max, i, n)] = A_n
+        if B is not None:
+            B[s, :n] = small.input_matrix
+
+    def per_model(block):
+        """Column block (rows, M*m) as one (rows, m) view per stack entry."""
+        return block.reshape(-1, M, m).transpose(1, 0, 2)
+
+    def step(z, u):
+        out = np.matmul(operators[0], per_model(z))
+        for i in range(2, template.degree + 1):
+            out += np.matmul(operators[i - 1], per_model(compressed_power_matrix(z, i)))
+        if B is not None:
+            out += np.matmul(B, u)
+        return out.transpose(1, 0, 2).reshape(n_max, M * m)
+
+    return _fom._run(step, np.zeros((n_max, M * m)), U, num_steps)
 
 
 def truncate(model, new_dim):

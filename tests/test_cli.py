@@ -3,6 +3,7 @@ import io
 import json
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -308,6 +309,59 @@ def test_avg_rel_error_pools_the_training_pieces(monkeypatch):
             for X, Z in zip(full, reduced)
         ]
         assert abs(np.mean(ratios) - pooled.value) > 1e-6 * pooled.value
+
+
+def test_evaluate_in_piece_groups_matches_single_runs(monkeypatch):
+    """`_evaluate` gives each (n, method) the pooled metrics of its single
+    runs, one per piece, whether all pieces share one stack or each piece is
+    a group of its own; a model that diverges on one piece only is flagged."""
+    config = cli.default_config("custom")
+    config.num_steps, config.nbar, config.truncation_dims = 60, 4, [1, 2, 4]
+    K, dims = config.num_steps, config.truncation_dims
+    basis = subspace.Basis(np.eye(5)[:, :4])
+    models = [
+        rom.galerkin_project(fom.make_random_polynomial(5, 2, input_dim=2, seed=j), basis)
+        for j in range(3)
+    ]
+    # a large input matrix blows the second model up on the middle piece and,
+    # at n = 4, on the last: each group must keep the flags of the one before
+    models[1] = replace(models[1], input_matrix=200.0 * models[1].input_matrix)
+    rng = np.random.default_rng(40)
+    U = rng.uniform(-1.0, 1.0, (2, K, 3))
+    inputs = [a * U[:, :, l] for l, a in enumerate((0.1, 1.0, 0.5))]
+    pieces = [diagnostics.project_piece(basis, rng.normal(size=(5, K + 1)), K) for _ in range(3)]
+
+    expected = []
+    for n in dims:
+        runs = [
+            [rom.reduced_simulate(rom.truncate(model, n), np.zeros(n), V, K) for V in inputs]
+            for model in models
+        ]
+        diverged = [any(r.diverged for r in piece_runs) for piece_runs in runs]
+        for j, piece_runs in enumerate(runs):
+            avg_rel = traj_diff = float("nan")
+            if not diverged[j]:
+                Z = [r.states[:, :K] for r in piece_runs]
+                avg_rel = diagnostics.pooled_rel_state_error(pieces, Z)
+                if j and not diverged[0]:
+                    R = [r.states[:, :K] for r in runs[0]]
+                    traj_diff = diagnostics.pooled_rel_difference(R, Z)
+            expected.append((diverged[j], avg_rel, traj_diff))
+    assert [e[0] for e in expected] == [False] * 4 + [True] + [False] * 2 + [True, False]
+
+    def evaluate():
+        rows = cli._evaluate(config, "train", None, models, (None,) * 3, pieces, inputs)
+        return [(r["diverged"], r["avg_rel_error"], r["traj_diff"]) for r in rows]
+
+    assert len(cli._piece_groups(3, dims, K)) == 1
+    whole = evaluate()
+    monkeypatch.setattr(cli, "_STACK_BYTES", 0)
+    assert len(cli._piece_groups(3, dims, K)) == 3
+    grouped = evaluate()
+    for rows in (whole, grouped):
+        assert [r[0] for r in rows] == [e[0] for e in expected]
+        for r, e in zip(rows, expected):
+            assert np.allclose(r[1:], e[1:], rtol=1e-10, atol=0.0, equal_nan=True)
 
 
 def _small_burgers_config(tmp_path, seed=1):

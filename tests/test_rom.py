@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -147,7 +149,7 @@ def test_reduced_simulate_block_equals_single_column_runs(degree, input_dim):
         assert diff <= 1e-14 * (1.0 + np.abs(single.states).max())
 
 
-def test_reduced_simulate_block_stops_at_the_first_diverged_column():
+def test_reduced_simulate_block_freezes_each_diverged_column():
     # z -> 0.5 z + 0.1 z^2 per mode: starts above 5 blow up, starts below decay
     model = rom.PolynomialModel(
         operators=(0.5 * np.eye(2), np.array([[0.1, 0.0, 0.0], [0.0, 0.0, 0.1]])),
@@ -156,10 +158,14 @@ def test_reduced_simulate_block_stops_at_the_first_diverged_column():
     Z0 = np.array([[1.0, 20.0, -1.0], [0.5, 0.5, 0.5]])
     block, singles = _block_and_single_runs(model, Z0, None, 200)
     assert [s.diverged for s in singles] == [False, True, False]
-    assert block.diverged_at == singles[1].diverged_at
-    assert block.states.shape == (2, block.diverged_at, 3)
-    for l, single in enumerate(singles):
-        assert np.allclose(block.states[:, :, l], single.states[:, : block.diverged_at])
+    assert list(block.diverged_at) == [s.diverged_at or 0 for s in singles]
+    assert block.states.shape == (2, 201, 3)
+    for l in (0, 2):
+        assert np.allclose(block.states[:, :, l], singles[l].states)
+    stop = singles[1].diverged_at
+    assert np.allclose(block.states[:, :stop, 1], singles[1].states)
+    last = singles[1].states[:, -1]
+    assert np.array_equal(block.states[:, stop:, 1], np.repeat(last[:, None], 201 - stop, axis=1))
 
 
 def test_reduced_simulate_rejects_mismatched_blocks():
@@ -171,6 +177,79 @@ def test_reduced_simulate_rejects_mismatched_blocks():
         rom.reduced_simulate(reduced, np.zeros((3, 2)), np.zeros((1, 5, 3)))
     with pytest.raises(ValueError):
         rom.reduced_simulate(reduced, np.zeros(3), np.zeros((1, 5, 1)))
+
+
+def _stack_and_single_runs(models, dims, U, num_steps):
+    """`simulate_truncations` and, per stack entry (n, model), the pair of n
+    and the single runs of `reduced_simulate(truncate(model, n), ...)` from
+    zero, one per piece."""
+    stack = rom.simulate_truncations(models, dims, U, num_steps)
+    m = 1 if U is None else U.shape[2]
+    singles = [
+        (n, [
+            rom.reduced_simulate(
+                rom.truncate(model, n), np.zeros(n), None if U is None else U[:, :, l], num_steps
+            )
+            for l in range(m)
+        ])
+        for n in dims
+        for model in models
+    ]
+    return stack, singles
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+@pytest.mark.parametrize("input_dim", [0, 2])
+def test_simulate_truncations_equals_truncated_single_runs(degree, input_dim):
+    models = [
+        rom.galerkin_project(
+            fom.make_random_polynomial(5, degree, input_dim=input_dim, seed=10 * degree + j),
+            subspace.Basis(np.eye(5)[:, :4]),
+        )
+        for j in range(3)
+    ]
+    dims, m, K = [1, 2, 4], 2, 40
+    rng = np.random.default_rng(30 + degree)
+    # without inputs the stack starts and stays at zero, like its oracle
+    U = rng.uniform(-1.0, 1.0, (input_dim, K, m)) if input_dim else None
+    stack, singles = _stack_and_single_runs(models, dims, U, K)
+    width = len(dims) * len(models) * (m if input_dim else 1)
+    assert stack.states.shape == (4, K + 1, width) and not stack.diverged
+    cols = stack.states.reshape(4, K + 1, len(singles), -1)
+    scale = 1.0 + max(np.abs(r.states).max() for _, runs in singles for r in runs)
+    for s, (n, runs) in enumerate(singles):
+        for l, single in enumerate(runs):
+            assert not single.diverged
+            assert np.abs(cols[:n, :, s, l] - single.states).max() <= 1e-12 * scale
+            assert np.all(cols[n:, :, s, l] == 0.0)
+
+
+def test_simulate_truncations_diverged_entry_leaves_the_others():
+    models = [
+        rom.galerkin_project(
+            fom.make_random_polynomial(5, 2, input_dim=2, seed=j), subspace.Basis(np.eye(5)[:, :4])
+        )
+        for j in range(3)
+    ]
+    # a large input on the quadratic model of seed 1 blows it up from zero
+    models[1] = replace(models[1], input_matrix=200.0 * models[1].input_matrix)
+    dims, m, K = [1, 2, 4], 2, 60
+    U = np.random.default_rng(40).uniform(-1.0, 1.0, (2, K, m))
+    stack, singles = _stack_and_single_runs(models, dims, U, K)
+    assert stack.diverged
+    assert stack.states.shape == (4, K + 1, len(singles) * m)
+    assert np.isfinite(stack.states).all()
+    cols = stack.states.reshape(4, K + 1, len(singles), m)
+    steps = stack.diverged_at.reshape(len(singles), m)
+    diverged = [s for s, (_, runs) in enumerate(singles) if any(r.diverged for r in runs)]
+    assert diverged and all(s % len(models) == 1 for s in diverged)
+    for s, (n, runs) in enumerate(singles):
+        for l, single in enumerate(runs):
+            assert steps[s, l] == (single.diverged_at or 0)
+            if not single.diverged:
+                diff = np.abs(cols[:n, :, s, l] - single.states).max()
+                assert diff <= 1e-12 * (1.0 + np.abs(single.states).max())
+                assert np.all(cols[n:, :, s, l] == 0.0)
 
 
 def test_truncate_identity_and_shapes():
