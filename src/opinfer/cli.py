@@ -499,15 +499,22 @@ _ADAPTERS = {
 
 def _project_pieces(model, starts, inputs, basis, num_steps):
     """Simulate one piece per (start, input) pair for `num_steps` steps and
-    keep only its `diagnostics.project_piece`: the projected states (nbar,
-    steps + 1) and the norms the metrics need.  A diverging full model raises
-    NumericalFailure."""
+    keep only its `diagnostics.project_pieces`: the projected states (nbar,
+    steps + 1) and the norms the metrics need.  The pieces are stepped side
+    by side as blocks of `fom.simulate`, in groups whose states hold no more
+    than one trajectory or `fom._STACK_BYTES` (`fom._block_groups`); each
+    group's full states are freed before the next is stepped.  A diverging
+    full model raises NumericalFailure naming the earliest diverged step."""
+    run_bytes = model.state_dim * (num_steps + 1) * 8
     out = []
-    for x0, U in zip(starts, inputs):
-        traj = fom.simulate(model, x0, U[:, :num_steps])
-        if traj.diverged:
-            raise NumericalFailure(f"full model diverged at step {traj.diverged_at}")
-        out.append(diagnostics.project_piece(basis, traj.states, num_steps))
+    for group in fom._block_groups(len(starts), run_bytes, run_bytes):
+        U = fom._input_block([inputs[l] for l in group], num_steps)
+        # allocated before the full states: allocated after them, it would
+        # sit above the hole they leave in the heap, which malloc keeps resident
+        proj = np.empty((basis.matrix.shape[1], U.shape[1] + 1, len(group)))
+        traj = fom.simulate(model, np.column_stack([starts[l] for l in group]), U)
+        fom._fail_if_diverged(traj)
+        out += diagnostics.project_pieces(basis, traj.states, num_steps, proj)
     return out
 
 
@@ -525,17 +532,13 @@ def _plain_fit(model, projected, inputs):
 
 _METHODS = ("intrusive", "opinf-reproj", "opinf-plain")
 
-# The stack of `_evaluate` holds len(dims) * len(_METHODS) runs per piece.  A
-# group of pieces stacks no more states than the three runs of one dimension
-# over all pieces, which is what stepping one dimension at a time would hold,
-# or than _STACK_BYTES if that is more.
-_STACK_BYTES = 128 << 20
-
-
 def _piece_groups(num_pieces, dims, num_steps):
-    piece_bytes = len(dims) * len(_METHODS) * max(dims) * (num_steps + 1) * 8
-    size = max(num_pieces // len(dims), _STACK_BYTES // piece_bytes, 1)
-    return [range(lo, min(lo + size, num_pieces)) for lo in range(0, num_pieces, size)]
+    """Groups of pieces for `_group_sums` (`fom._block_groups`).  The stack
+    holds len(dims) * len(_METHODS) runs per piece; a group holds no more
+    than the three runs of one dimension over all pieces, which is what
+    stepping one dimension at a time would hold."""
+    run_bytes = len(_METHODS) * max(dims) * (num_steps + 1) * 8
+    return fom._block_groups(num_pieces, len(dims) * run_bytes, num_pieces * run_bytes)
 
 
 def _group_sums(models, dims, num_steps, pieces, inputs, skip):
@@ -544,8 +547,7 @@ def _group_sums(models, dims, num_steps, pieces, inputs, skip):
     of the group, and its `state_error_sums` and `difference_sums` to the
     intrusive model over the group (0 where either model diverged)."""
     K = num_steps
-    U_block = np.stack([U[:, :K] for U in inputs], axis=-1)  # (p, K, pieces)
-    stack = rom.simulate_truncations(models, dims, U_block, K)
+    stack = rom.simulate_truncations(models, dims, fom._input_block(inputs, K), K)
     # (n_max, K+1, n, method, piece) -> an (n, method, piece, n_max, K+1) view
     runs = stack.states.reshape(-1, K + 1, len(dims), len(models), len(pieces))
     runs = np.moveaxis(runs, (0, 1), (3, 4))

@@ -10,7 +10,7 @@ import scipy.linalg as la
 
 from . import fom as _fom
 from .opinf import DataMatrix
-from .subspace import basis_matrix, orthonormal_complement, project
+from .subspace import basis_matrix, orthonormal_complement
 
 UNDERFLOW_GUARD = 1e-300
 
@@ -54,13 +54,27 @@ def _is_diverged(reduced, expected_columns):
 
 
 def project_piece(V, X, num_steps):
-    """(V^T X, ||X||_F^2, squared row norms of V^T X) of a full trajectory X,
-    norms over its leading `num_steps` columns: all that
+    """(V^T X, ||X||_F^2, squared row norms of V^T X) of a full trajectory X
+    (N, K+1), norms over its leading `num_steps` columns: all that
     `pooled_rel_state_error` needs of X."""
-    proj = project(V, X)
-    x_norm_sq = float(np.sum(X[:, :num_steps] ** 2))
-    mode_norms_sq = np.sum(proj[:, :num_steps] ** 2, axis=1)
-    return proj, x_norm_sq, mode_norms_sq
+    return project_pieces(V, np.asarray(X, dtype=float)[:, :, None], num_steps)[0]
+
+
+def project_pieces(V, X, num_steps, out=None):
+    """`project_piece` of each trajectory of a block X (N, K+1, m), from one
+    product V^T X, written into `out` (n, K+1, m) if given; no temporary is
+    larger than one trajectory."""
+    M = basis_matrix(V)
+    proj = np.empty((M.shape[1],) + X.shape[1:]) if out is None else out
+    np.matmul(M.T, X.reshape(X.shape[0], -1), out=proj.reshape(M.shape[1], -1))
+    return [
+        (
+            proj[:, :, l],
+            float(np.sum(X[:, :num_steps, l] ** 2)),
+            np.sum(proj[:, :num_steps, l] ** 2, axis=1),
+        )
+        for l in range(X.shape[2])
+    ]
 
 
 def pooled_rel_state_error(pieces, reduced):

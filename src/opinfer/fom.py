@@ -105,16 +105,21 @@ class FullOrderModel:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.state_dim,):
             raise ValueError(f"state must have shape ({self.state_dim},), got {x.shape}")
-        u = _check_input(self, u)
-        if self.step_impl is not None:
-            return self.step_impl(x, u)
-        return self.polynomial_step(x, u)
+        return self.block_step(x, _check_input(self, u))
 
     def polynomial_step(self, x, u=None):
         """f(x, u) evaluated strictly through the multilinear forms."""
-        x = np.asarray(x, dtype=float)
-        u = _check_input(self, u)
-        out = np.zeros(self.state_dim)
+        return self._forms_step(np.asarray(x, dtype=float), _check_input(self, u))
+
+    @property
+    def block_step(self):
+        """Unchecked f(x, u) of a state (N,) with inputs (p,), or of each
+        column of a block (N, m) with inputs (p, m): `step_impl` if attached,
+        else the multilinear forms (which must then accept blocks)."""
+        return self._forms_step if self.step_impl is None else self.step_impl
+
+    def _forms_step(self, x, u):
+        out = np.zeros(x.shape)
         for i in range(1, self.degree + 1):
             out += self.forms[i - 1](*([x] * i))
         if self.input_dim:
@@ -136,20 +141,28 @@ def _check_input(model, u):
 def simulate(model, x0, U=None, num_steps=None):
     """Time step a model for `num_steps` steps from x0.
 
-    U holds the input columns u_0 .. (at least num_steps of them) as a
-    (p, K) array, and is ignored for input-free models.  Simulation stops
-    early with the divergence flag set as described on `Trajectory`.
+    x0 is one start (N,) with input columns u_0 .. (at least num_steps of
+    them) as a (p, K) array, or a block of m starts (N, m) with inputs
+    (p, K, m), stepped side by side into states (N, K+1, m); U is ignored for
+    input-free models.  The arguments are checked once here and the model's
+    unchecked `block_step` goes to `_run`.  A single run stops early with the
+    divergence flag set; in a block a diverged column is frozen and the
+    others go on (see `Trajectory`).
     """
     x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (model.state_dim,):
-        raise ValueError(f"x0 must have shape ({model.state_dim},), got {x0.shape}")
-    U, num_steps = _input_columns(model, U, num_steps)
-    return _run(model.step, x0, U, num_steps)
+    if x0.ndim not in (1, 2) or x0.shape[0] != model.state_dim:
+        raise ValueError(
+            f"x0 must have {model.state_dim} rows and 1 or 2 axes, got {x0.shape}"
+        )
+    U, num_steps = _input_columns(model, U, num_steps, x0)
+    return _run(model.block_step, x0, U, num_steps)
 
 
-def _input_columns(model, U, num_steps):
+def _input_columns(model, U, num_steps, x0=None):
     """Checked input columns (None for an input-free model) and the number of
-    steps: `num_steps`, by default one per input column."""
+    steps: `num_steps`, by default one per input column.  Given the starts
+    x0, inputs (p, K) must go with one start (dim,) and inputs (p, K, m)
+    with a block (dim, m)."""
     if model.input_dim == 0:
         return None, num_steps or 0
     if U is None:
@@ -159,7 +172,40 @@ def _input_columns(model, U, num_steps):
         raise ValueError(f"U must have {model.input_dim} rows, got {U.shape[0]}")
     if num_steps is not None and U.shape[1] < num_steps:
         raise ValueError(f"U has {U.shape[1]} columns, need at least {num_steps}")
+    if x0 is not None and U.shape[2:] != x0.shape[1:]:
+        raise ValueError(f"inputs of shape {U.shape} do not match starts of shape {x0.shape}")
     return U, U.shape[1] if num_steps is None else num_steps
+
+
+def _input_block(inputs, num_steps=None):
+    """The (p, K, m) inputs of a block of m starts: one (p, K_l) array per
+    start, each cut to its first `num_steps` columns (all by default)."""
+    cut = [np.asarray(U, dtype=float)[:, :num_steps] for U in inputs]
+    shapes = sorted({U.shape for U in cut})
+    if len(shapes) != 1:
+        raise ValueError(f"the inputs of one block must share a shape, got {shapes}")
+    return np.stack(cut, axis=-1)
+
+
+def _fail_if_diverged(traj):
+    """Raise NumericalFailure naming the earliest step at which a run of
+    `traj` (one run or a block) diverged."""
+    if traj.diverged:
+        steps = np.atleast_1d(traj.diverged_at)
+        raise NumericalFailure(f"full model diverged at step {steps[steps > 0].min()}")
+
+
+# A group of starts stepped as one block holds no more states than its caller
+# would hold without blocks, or than _STACK_BYTES if that is more.
+_STACK_BYTES = 128 << 20
+
+
+def _block_groups(count, start_bytes, held_bytes):
+    """Split `count` starts whose runs hold `start_bytes` of states each into
+    ranges, each stepped as one block of `_run`: a block holds at most
+    `held_bytes` or _STACK_BYTES, whichever is more, and at least one start."""
+    size = max(held_bytes // start_bytes, _STACK_BYTES // start_bytes, 1)
+    return [range(lo, min(lo + size, count)) for lo in range(0, count, size)]
 
 
 def _run(step, x0, U, num_steps):
@@ -325,7 +371,7 @@ def make_burgers(mu, dt=1e-4, num_nodes=128):
         return out
 
     def step_impl(x, u):
-        out = np.empty(N)
+        out = np.empty_like(x)
         out[1:-1] = x[1:-1] + dt * (
             mu * (x[2:] - 2.0 * x[1:-1] + x[:-2]) / h**2
             - x[1:-1] * (x[2:] - x[:-2]) / (2.0 * h)
@@ -370,7 +416,7 @@ def make_chafee_infante(dt=1e-5, num_nodes=128):
     cubic = lambda w, z, y: -dt * (w * z * y)
 
     def step_impl(x, u):
-        lap = np.empty(N)
+        lap = np.empty_like(x)
         lap[1:-1] = x[2:] - 2.0 * x[1:-1] + x[:-2]
         lap[0] = x[1] - 2.0 * x[0] + u[0]
         lap[-1] = 2.0 * x[-2] - 2.0 * x[-1]
@@ -419,10 +465,15 @@ def make_diffusion_reaction_2d(mu, grid_points_per_dim=64, dt=1e-2, degree=3):
     B = np.column_stack([dt * source, dt * coeff[0] * np.ones(N)])
 
     def lap(w):
-        W = np.pad(w.reshape(g, g), 1, mode="reflect")
+        """Five-point Laplacian of a state (N,) or of each column of (N, m):
+        the grid padded by its mirrored neighbours (numpy's "reflect" pad)."""
+        W = np.empty((g + 2, g + 2) + w.shape[1:])
+        W[1:-1, 1:-1] = w.reshape((g, g) + w.shape[1:])
+        W[0, 1:-1], W[-1, 1:-1] = W[2, 1:-1], W[-3, 1:-1]
+        W[:, 0], W[:, -1] = W[:, 2], W[:, -3]
         return (
             W[:-2, 1:-1] + W[2:, 1:-1] + W[1:-1, :-2] + W[1:-1, 2:] - 4.0 * W[1:-1, 1:-1]
-        ).ravel()
+        ).reshape(w.shape)
 
     def linear(w):
         return w + dt * (lap(w) + coeff[1] * w)

@@ -85,24 +85,30 @@ def reproject_sample(model, V, x0, U=None, num_steps=None):
 
         xbar_{k+1} = V^T f(V xbar_k, u_k).
 
-    Returns a reduced-dimension Trajectory holding xbar_0 .. xbar_K; its
-    X / Y views are the regression data.  Divergence mid-sampling yields a
-    partial trajectory with the flag set, as in `fom.simulate`.
+    x0 is one start (N,) with inputs (p, K), or a block of m starts (N, m),
+    each checked for span(V) membership, with inputs (p, K, m); a block is
+    sampled side by side through the model's unchecked `block_step`.
+    Returns a reduced-dimension Trajectory holding xbar_0 .. xbar_K (states
+    (n, K+1) or (n, K+1, m)); its X / Y views are the regression data.
+    Divergence mid-sampling yields a partial trajectory with the flag set,
+    or in a block a frozen column, as in `fom.simulate`.
     """
     M = basis_matrix(V)
     x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (model.state_dim,) or M.shape[0] != model.state_dim:
+    if x0.ndim not in (1, 2) or x0.shape[0] != model.state_dim or M.shape[0] != model.state_dim:
         raise ValueError("x0 and basis must match the model's state dimension")
     z0 = M.T @ x0
-    residual = np.linalg.norm(x0 - M @ z0)
-    if residual > MEMBERSHIP_TOL * (1.0 + np.linalg.norm(x0)):
+    residual = np.linalg.norm(x0 - M @ z0, axis=0)
+    outside = residual > MEMBERSHIP_TOL * (1.0 + np.linalg.norm(x0, axis=0))
+    if outside.any():
         raise ValueError(
-            f"x0 lies outside span(V): relative residual {residual:.2e}"
+            f"x0 lies outside span(V): relative residual {residual.max():.2e}"
         )
-    U, num_steps = _fom._input_columns(model, U, num_steps)
+    U, num_steps = _fom._input_columns(model, U, num_steps, x0)
+    step = model.block_step
 
     def reduced_step(z, u):
-        return M.T @ model.step(M @ z, u)
+        return M.T @ step(M @ z, u)
 
     return _fom._run(reduced_step, z0, U, num_steps)
 
@@ -277,15 +283,18 @@ def snapshot_basis(models, starts, input_sets, nbar, snapshot_stride=1):
     """Snapshot-and-POD stage: simulate, then cut a POD basis of dimension nbar.
 
     Model j is simulated from starts[j] once per input trajectory in
-    input_sets[j]; every `snapshot_stride`-th column of x_0 .. x_{K-1} goes
-    straight into one preallocated snapshot matrix.  Thinning trades basis
-    quality for memory only: recovery does not depend on how the basis was
-    obtained.
+    input_sets[j] (all of one length), the inputs side by side as blocks of
+    `fom.simulate`, in groups whose states hold no more than one trajectory
+    or `fom._STACK_BYTES` (`fom._block_groups`).  Every
+    `snapshot_stride`-th column of x_0 .. x_{K-1} goes straight into one
+    preallocated snapshot matrix, and each group is freed before the next is
+    stepped.  Thinning trades basis quality for memory only: recovery does
+    not depend on how the basis was obtained.
 
     Returns (basis, state_scales) where state_scales[j] is the largest state
     norm max_k ||x_k|| over the trajectories of model j.  A diverged
-    trajectory raises `fom.NumericalFailure` naming the step, before any
-    POD.
+    trajectory raises `fom.NumericalFailure` naming the earliest diverged
+    step of its group, before any POD.
     """
     width = sum(
         len(range(0, _fom._input_columns(model, U, None)[1], snapshot_stride))
@@ -297,17 +306,24 @@ def snapshot_basis(models, starts, input_sets, nbar, snapshot_stride=1):
     filled = 0
     state_scales = np.zeros(len(models))
     for j, (model, x0, inputs) in enumerate(zip(models, starts, input_sets)):
-        for U in inputs:
-            traj = _fom.simulate(model, x0, U)
-            if traj.diverged:
-                raise _fom.NumericalFailure(f"full model diverged at step {traj.diverged_at}")
-            state_scales[j] = max(
-                state_scales[j], float(np.linalg.norm(traj.states, axis=0).max())
+        K = _fom._input_columns(model, inputs[0], None)[1]
+        run_bytes = model.state_dim * (K + 1) * 8
+        for group in _fom._block_groups(len(inputs), run_bytes, run_bytes):
+            m = len(group)
+            traj = _fom.simulate(
+                model, np.column_stack([x0] * m), _fom._input_block([inputs[l] for l in group])
             )
+            _fom._fail_if_diverged(traj)
+            # squared norms of the columns without a temporary of the block's size
+            sq_norms = np.einsum("ikl,ikl->kl", traj.states, traj.states)
+            state_scales[j] = max(state_scales[j], float(np.sqrt(sq_norms.max())))
             block = traj.X[:, ::snapshot_stride]
-            snapshots[:, filled : filled + block.shape[1]] = block
-            filled += block.shape[1]
-            del traj, block
+            cols = block.shape[1]
+            # the group's columns piece after piece, seen as an (N, cols, m) view
+            dest = snapshots[:, filled : filled + m * cols].reshape((-1, cols, m), order="F")
+            dest[...] = block
+            filled += m * cols
+            del traj, block, dest
     return _subspace.pod_basis(snapshots, nbar), state_scales
 
 
@@ -389,25 +405,25 @@ def reprojected_data(model, basis, x0, inputs, reproj_horizon=None):
     """Re-projected regression data for one parameter: (DataMatrix, Y).
 
     Samples one re-projected piece per input trajectory (optionally capped at
-    `reproj_horizon` steps), concatenates them, and assembles the stacked
-    data matrix tagged as re-projected.  `x0` is either one initial condition
-    shared by all pieces or a sequence with one start per piece (each must
-    lie in span(V); varied starts enrich the data when trajectories from a
-    single start leave monomial directions unexplored).
+    `reproj_horizon` steps; the capped inputs must share their length), all
+    side by side as one block of `reproject_sample` (whose states have only
+    nbar rows), concatenates them, and assembles the stacked data matrix
+    tagged as re-projected.  A piece that diverges is cut at its own
+    `diverged_at`, as its single run would be; the others keep all their
+    steps.  `x0` is either one initial condition shared by all pieces or a
+    sequence with one start per piece (each must lie in span(V); varied
+    starts enrich the data when trajectories from a single start leave
+    monomial directions unexplored).
     """
-    starts = (
-        list(x0)
-        if isinstance(x0, (list, tuple))
-        else [np.asarray(x0, dtype=float)] * len(inputs)
-    )
+    starts = list(x0) if isinstance(x0, (list, tuple)) else [x0] * len(inputs)
     if len(starts) != len(inputs):
         raise ValueError("one initial condition per input trajectory required")
-    pieces = []
-    for x0_piece, U in zip(starts, inputs):
-        U = np.asarray(U, dtype=float)
-        horizon = U.shape[1] if reproj_horizon is None else min(reproj_horizon, U.shape[1])
-        bar = reproject_sample(model, basis, x0_piece, U[:, :horizon])
-        pieces.append((bar, U[:, :horizon]))
+    U = _fom._input_block(inputs, reproj_horizon)
+    bar = reproject_sample(model, basis, np.column_stack(starts), U)
+    ends = bar.diverged_at if bar.diverged else np.zeros(len(inputs), dtype=int)
+    pieces = [
+        (bar.states[:, : end or None, l], U[:, :, l]) for l, end in enumerate(ends)
+    ]
     X, Y, U_all = concat_trajectories(pieces)
     data = assemble_data_matrix(X, U_all, model.degree, source="re-projected")
     return data, Y

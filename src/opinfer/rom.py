@@ -126,9 +126,7 @@ def reduced_simulate(model, z0, U=None, num_steps=None):
     z0 = np.asarray(z0, dtype=float)
     if z0.ndim not in (1, 2) or z0.shape[0] != model.reduced_dim:
         raise ValueError(f"z0 must have {model.reduced_dim} rows and 1 or 2 axes, got {z0.shape}")
-    U, num_steps = _fom._input_columns(model, U, num_steps)
-    if U is not None and U.shape[2:] != z0.shape[1:]:
-        raise ValueError(f"inputs of shape {U.shape} do not match starts of shape {z0.shape}")
+    U, num_steps = _fom._input_columns(model, U, num_steps, z0)
     return _fom._run(model.step, z0, U, num_steps)
 
 

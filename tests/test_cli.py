@@ -210,6 +210,33 @@ def test_main_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
     assert "numerical rank is 1" in capsys.readouterr().err
 
 
+def test_main_names_the_earliest_diverged_step_of_a_block(tmp_path, capsys, monkeypatch):
+    """The inputs of a parameter are simulated side by side as one block; when
+    a later input diverges first, the message names its step."""
+    path = _write_config(
+        tmp_path, benchmark="custom", num_steps=50, num_inputs=2,
+        input_range=[50.0, 100.0], state_dim=8, nbar=2, truncation_dims=[1],
+    )
+    unscaled = cli._CustomAdapter.reproj_inputs
+    monkeypatch.setattr(
+        cli._CustomAdapter,
+        "reproj_inputs",
+        lambda self, j: [U * c for U, c in zip(unscaled(self, j), (0.5, 3.0))],
+    )
+    config = cli.load_config(path)
+    adapter = cli._CustomAdapter(config)
+    model = adapter.factory(None)
+    first, second = (
+        fom.simulate(model, np.zeros(8), U).diverged_at for U in adapter.reproj_inputs(0)
+    )
+    assert 0 < second < first
+    capsys.readouterr()
+    code = cli.main(["run", "--config", path, "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err == f"numerical failure: full model diverged at step {second}\n"
+
+
 class _ClosedStdout(io.StringIO):
     """A stdout whose reader has gone away."""
 
@@ -355,7 +382,7 @@ def test_evaluate_in_piece_groups_matches_single_runs(monkeypatch):
 
     assert len(cli._piece_groups(3, dims, K)) == 1
     whole = evaluate()
-    monkeypatch.setattr(cli, "_STACK_BYTES", 0)
+    monkeypatch.setattr(fom, "_STACK_BYTES", 0)
     assert len(cli._piece_groups(3, dims, K)) == 3
     grouped = evaluate()
     for rows in (whole, grouped):
@@ -409,18 +436,20 @@ def test_parametric_pipeline_byte_identical(tmp_path):
 
 def test_pipeline_simulates_each_training_input_twice(tmp_path, monkeypatch):
     # Once for the snapshots and once for the plain fit and the training
-    # evaluation together; once per test parameter.
+    # evaluation together; once per test parameter.  Each pass steps the
+    # inputs of a parameter as one block of starts (N, m): m trajectories.
     calls = []
     simulate = cli.fom.simulate
 
-    def counting_simulate(*args, **kwargs):
-        calls.append(1)
-        return simulate(*args, **kwargs)
+    def counting_simulate(model, x0, *args, **kwargs):
+        calls.append(np.shape(x0)[1] if np.ndim(x0) == 2 else 1)
+        return simulate(model, x0, *args, **kwargs)
 
     monkeypatch.setattr(cli.fom, "simulate", counting_simulate)
     config = _small_burgers_config(tmp_path)
     cli.run_study(config)
-    assert len(calls) == 2 * 3 * 2 + 3  # 3 parameters x 2 inputs, 3 test parameters
+    assert sum(calls) == 2 * 3 * 2 + 3  # 3 parameters x 2 inputs, 3 test parameters
+    assert len(calls) == 2 * 3 + 3  # one block per pass and parameter
 
 
 def test_learn_with_reprojection_matches_the_certify_pipeline(tmp_path):

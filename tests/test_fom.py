@@ -254,3 +254,64 @@ def test_with_constant_channel():
     augmented = fom.with_constant_channel(U)
     assert augmented.shape == (2, 5)
     assert np.array_equal(augmented[1], np.ones(5))
+
+
+@pytest.mark.parametrize("build", BENCHMARKS)
+def test_block_step_equals_its_column_steps(build):
+    """A block (N, m) steps like each of its columns: bitwise for the
+    stencils, to rounding where B @ u is a matrix product on the block."""
+    model = build()
+    rng = np.random.default_rng(22)
+    X = rng.normal(size=(model.state_dim, 5))
+    U = rng.normal(size=(model.input_dim, 5)) if model.input_dim else None
+    block = model.block_step(X, U)
+    cols = np.column_stack(
+        [model.step(X[:, l], None if U is None else U[:, l]) for l in range(5)]
+    )
+    if model.label in ("burgers", "chafee-infante"):
+        assert np.array_equal(block, cols)
+    else:
+        assert np.abs(block - cols).max() <= 1e-14 * np.abs(cols).max()
+
+
+def test_reaction2d_laplacian_equals_the_reflect_pad():
+    """The sliced ghost rows give bitwise the five-point sum of np.pad's
+    reflect padding, in the same order."""
+    mu, g, dt = 1.3, 8, 1e-2
+    model = fom.make_diffusion_reaction_2d(mu, grid_points_per_dim=g, dt=dt)
+    w = np.random.default_rng(23).normal(size=g * g)
+    W = np.pad(w.reshape(g, g), 1, mode="reflect")
+    lap = (
+        W[:-2, 1:-1] + W[2:, 1:-1] + W[1:-1, :-2] + W[1:-1, 2:] - 4.0 * W[1:-1, 1:-1]
+    ).ravel()
+    expected = w + dt * (lap + fom.reaction_taylor_coeff(mu, 1) * w)
+    assert np.array_equal(model.multilinear(1, [w]), expected)
+
+
+def test_simulate_block_equals_single_runs():
+    model = fom.make_burgers(0.4, num_nodes=32)
+    rng = np.random.default_rng(24)
+    X0 = 0.1 * rng.normal(size=(32, 3))
+    U = rng.uniform(0.0, 10.0, (1, 40, 3))
+    block = fom.simulate(model, X0, U)
+    assert block.states.shape == (32, 41, 3) and not block.diverged
+    for l in range(3):
+        single = fom.simulate(model, X0[:, l], U[:, :, l])
+        assert np.array_equal(block.states[:, :, l], single.states)
+    with pytest.raises(ValueError):
+        fom.simulate(model, X0, U[:, :, :2])
+    with pytest.raises(ValueError):
+        fom.simulate(model, X0[:, 0], U)
+
+
+def test_block_divergence_names_the_earliest_step():
+    """The earliest diverged column of a block names the step, whichever
+    column of the block it is."""
+    model = fom.make_random_polynomial(6, 2, input_dim=1, seed=2)
+    U = np.stack([np.full((1, 60), a) for a in (0.1, 40.0, 100.0)], axis=-1)
+    singles = [fom.simulate(model, np.zeros(6), U[:, :, l]).diverged_at for l in range(3)]
+    assert singles[0] is None and 0 < singles[2] < singles[1]
+    block = fom.simulate(model, np.zeros((6, 3)), U)
+    assert list(block.diverged_at) == [0] + singles[1:]
+    with pytest.raises(fom.NumericalFailure, match=f"diverged at step {singles[2]}$"):
+        fom._fail_if_diverged(block)

@@ -313,3 +313,52 @@ def test_learn_with_reprojection_shorter_horizon():
     intrusive = rom.galerkin_project(factory(3), basis)
     gap = np.linalg.norm(models[0].stacked() - intrusive.stacked())
     assert gap <= 1e-7 * np.linalg.norm(intrusive.stacked())
+
+
+def _block_starts(basis, rng, m, scale=0.5):
+    return subspace.lift(basis, scale * rng.normal(size=(basis.matrix.shape[1], m)))
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_reproject_block_equals_single_start_runs(degree):
+    model = fom.make_random_polynomial(10, degree, input_dim=2, seed=degree)
+    basis = _random_basis(10, 3, 60)
+    rng = np.random.default_rng(61)
+    X0 = _block_starts(basis, rng, 4)
+    U = rng.uniform(-0.5, 0.5, (2, 50, 4))
+    block = opinf.reproject_sample(model, basis, X0, U)
+    assert block.states.shape == (3, 51, 4) and not block.diverged
+    for l in range(4):
+        single = opinf.reproject_sample(model, basis, X0[:, l], U[:, :, l])
+        scale = np.abs(single.states).max()
+        assert np.abs(block.states[:, :, l] - single.states).max() <= 1e-14 * scale
+
+
+def test_reproject_block_rejects_one_start_outside_subspace():
+    model = fom.make_random_polynomial(6, 2, input_dim=1, seed=5)
+    basis = _random_basis(6, 2, 6)
+    X0 = _block_starts(basis, np.random.default_rng(62), 3)
+    X0[:, 1] += 0.01 * subspace.orthonormal_complement(basis)[:, 0]
+    with pytest.raises(ValueError, match="outside span"):
+        opinf.reproject_sample(model, basis, X0, np.zeros((1, 3, 3)))
+    with pytest.raises(ValueError):
+        opinf.reproject_sample(model, basis, X0, np.zeros((1, 3, 2)))
+
+
+def test_reprojected_data_cuts_a_diverging_piece_like_its_single_run():
+    """A piece that diverges mid-sampling is shortened to the finite states of
+    its single run; the pieces next to it keep all their steps."""
+    model = fom.make_random_polynomial(8, 2, input_dim=1, seed=2)
+    basis = _random_basis(8, 3, 63)
+    starts = list(_block_starts(basis, np.random.default_rng(64), 3, scale=0.1).T)
+    inputs = [np.full((1, 40), a) for a in (0.1, 1000.0, -0.2)]
+    singles = [opinf.reproject_sample(model, basis, x0, U) for x0, U in zip(starts, inputs)]
+    assert [s.diverged for s in singles] == [False, True, False]
+    assert 1 < singles[1].diverged_at < 40
+    data, Y = opinf.reprojected_data(model, basis, starts, inputs)
+    X_ref, Y_ref, U_ref = opinf.concat_trajectories(list(zip(singles, inputs)))
+    ref = opinf.assemble_data_matrix(X_ref, U_ref, model.degree, source="re-projected")
+    assert data.num_columns == 80 + singles[1].diverged_at - 1
+    # the blow-up before the overflow amplifies rounding, so entrywise
+    assert np.allclose(data.matrix, ref.matrix, rtol=1e-10, atol=0.0)
+    assert np.allclose(Y, Y_ref, rtol=1e-10, atol=0.0)
