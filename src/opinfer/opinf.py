@@ -285,25 +285,25 @@ def snapshot_basis(models, starts, input_sets, nbar, snapshot_stride=1):
     Model j is simulated from starts[j] once per input trajectory in
     input_sets[j] (all of one length), the inputs side by side as blocks of
     `fom.simulate`, in groups whose states hold no more than one trajectory
-    or `fom._STACK_BYTES` (`fom._block_groups`).  Every
-    `snapshot_stride`-th column of x_0 .. x_{K-1} goes straight into one
-    preallocated snapshot matrix, and each group is freed before the next is
-    stepped.  Thinning trades basis quality for memory only: recovery does
-    not depend on how the basis was obtained.
+    or `fom._STACK_BYTES` (`fom._block_groups`).  The snapshot matrix S of
+    every `snapshot_stride`-th column of x_0 .. x_{K-1} is never formed: each
+    group's columns become rows of S^T below the triangular factor R of the
+    rows so far, and `subspace.fold_rows` folds them into R once at least N
+    of them wait, and once more at the end.  Since S = R^T Q^T with
+    orthonormal Q, the POD of R^T (N x min(N, width)) has the modes and the
+    singular values of S.  Each group is freed before the next is stepped.
+    Thinning trades basis quality for memory only: recovery does not depend
+    on how the basis was obtained.
 
     Returns (basis, state_scales) where state_scales[j] is the largest state
     norm max_k ||x_k|| over the trajectories of model j.  A diverged
     trajectory raises `fom.NumericalFailure` naming the earliest diverged
     step of its group, before any POD.
     """
-    width = sum(
-        len(range(0, _fom._input_columns(model, U, None)[1], snapshot_stride))
-        for model, inputs in zip(models, input_sets)
-        for U in inputs
-    )
-    # Fortran order keeps each written column block contiguous
-    snapshots = np.empty((models[0].state_dim, width), order="F")
-    filled = 0
+    N = models[0].state_dim
+    # R of the folded rows of S^T, then the rows that wait for the next fold
+    rows = np.empty((0, N), order="F")
+    folded = 0
     state_scales = np.zeros(len(models))
     for j, (model, x0, inputs) in enumerate(zip(models, starts, input_sets)):
         K = _fom._input_columns(model, inputs[0], None)[1]
@@ -319,12 +319,19 @@ def snapshot_basis(models, starts, input_sets, nbar, snapshot_stride=1):
             state_scales[j] = max(state_scales[j], float(np.sqrt(sq_norms.max())))
             block = traj.X[:, ::snapshot_stride]
             cols = block.shape[1]
-            # the group's columns piece after piece, seen as an (N, cols, m) view
-            dest = snapshots[:, filled : filled + m * cols].reshape((-1, cols, m), order="F")
-            dest[...] = block
-            filled += m * cols
-            del traj, block, dest
-    return _subspace.pod_basis(snapshots, nbar), state_scales
+            # Fortran order makes the rows one column-major matrix for LAPACK
+            grown = np.empty((len(rows) + m * cols, N), order="F")
+            grown[: len(rows)] = rows
+            # the group's columns piece after piece, seen as a (cols, m, N) view
+            grown[len(rows) :].reshape((cols, m, N), order="F")[...] = block.transpose(1, 2, 0)
+            rows = grown
+            del traj, block, grown
+            if len(rows) - folded >= N:
+                rows = _subspace.fold_rows(rows)
+                folded = len(rows)
+    if len(rows) > folded:
+        rows = _subspace.fold_rows(rows)
+    return _subspace.pod_basis(rows.T, nbar), state_scales
 
 
 def fit_reprojected(models, basis, starts, input_sets, reproj_horizon=None):

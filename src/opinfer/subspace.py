@@ -4,6 +4,7 @@ import numpy as np
 import scipy.linalg as la
 
 RANK_TOL = 1e-13  # singular values below RANK_TOL * sigma_1 do not count as rank
+SIGN_TOL = 1e-8  # entries within this relative distance of a mode's largest magnitude tie
 
 
 class RankError(ValueError):
@@ -14,8 +15,8 @@ class Basis:
     """Orthonormal reduced basis: columns of `matrix` ordered by singular value.
 
     `singular_values` keeps the spectrum of the snapshot matrix the basis was
-    cut from (all values that the factorization produced, not just the
-    leading ones) for truncation diagnostics.
+    cut from (all min(N, width) values that the factorization produced, not
+    just the leading ones) for truncation diagnostics.
     """
 
     def __init__(self, matrix, singular_values=None):
@@ -45,14 +46,31 @@ class Basis:
         return Basis(self.matrix[:, :n], self.singular_values)
 
 
+def fold_rows(rows):
+    """Triangular factor R, shape (min(M, N), N), of the QR factorization of
+    the rows (M, N), which are overwritten.
+
+    Any rows [R_old; A] fold into the R of [S_old^T; A] when R_old is the R
+    factor of S_old^T, since both have the same Gram matrix.  A
+    Fortran-ordered `rows` is factorized in place by LAPACK geqrf; only the
+    triangle is copied out, so nothing of the M x N factorization stays
+    alive.
+    """
+    _, R = la.qr(rows, mode="raw", overwrite_a=True, check_finite=False)
+    return R
+
+
 def pod_basis(snapshots, n):
     """Leading n left singular vectors of a snapshot matrix.
 
     A thin SVD of the snapshot matrix itself (not of a Gram matrix) supplies
-    the modes; requesting more modes than the numerical rank (singular values
-    above RANK_TOL * sigma_1) is an error.  Each column's sign is fixed so
-    its largest-magnitude entry is positive, which makes bases reproducible
-    across runs.
+    the modes; `opinf.snapshot_basis` passes R^T, the transposed R factor of
+    S^T (`fold_rows`), which has the left singular vectors and the singular
+    values of S.  Requesting more modes than the numerical rank (singular
+    values above RANK_TOL * sigma_1) is an error.  Each column's sign makes
+    positive its first entry whose magnitude is within SIGN_TOL of the
+    largest, so that mirror-symmetric modes, whose largest magnitudes tie up
+    to rounding, get the same sign from any factorization.
     """
     snapshots = np.asarray(snapshots, dtype=float)
     if snapshots.ndim != 2:
@@ -64,9 +82,9 @@ def pod_basis(snapshots, n):
     if not 1 <= n <= rank:
         raise RankError(f"requested {n} modes but numerical rank is {rank}")
     V = U[:, :n].copy()
-    for j in range(n):
-        if V[np.argmax(np.abs(V[:, j])), j] < 0:
-            V[:, j] = -V[:, j]
+    magnitudes = np.abs(V)
+    lead = np.argmax(magnitudes >= (1.0 - SIGN_TOL) * magnitudes.max(axis=0), axis=0)
+    V *= np.where(V[lead, np.arange(n)] < 0, -1.0, 1.0)
     return Basis(V, singular_values=s)
 
 

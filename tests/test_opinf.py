@@ -362,3 +362,52 @@ def test_reprojected_data_cuts_a_diverging_piece_like_its_single_run():
     # the blow-up before the overflow amplifies rounding, so entrywise
     assert np.allclose(data.matrix, ref.matrix, rtol=1e-10, atol=0.0)
     assert np.allclose(Y, Y_ref, rtol=1e-10, atol=0.0)
+
+
+# (state dim, models, inputs per model, steps, stride, one piece per group):
+# one group per model; one piece per group; groups of fewer columns than N,
+# folded once N rows wait; fewer columns than N in all (a trapezoidal R);
+# a snapshot stride
+SNAPSHOT_CASES = {
+    "one group": (12, 2, 3, 40, 1, False),
+    "piece groups": (12, 2, 3, 40, 1, True),
+    "short groups": (30, 2, 5, 8, 1, True),
+    "narrow": (30, 1, 2, 8, 1, True),
+    "stride": (12, 2, 3, 40, 3, False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SNAPSHOT_CASES))
+def test_snapshot_basis_equals_pod_of_explicit_snapshots(monkeypatch, case):
+    N, count, pieces, K, stride, piece_groups = SNAPSHOT_CASES[case]
+    if piece_groups:
+        monkeypatch.setattr(fom, "_STACK_BYTES", 0)
+    models = [fom.make_random_polynomial(N, 2, input_dim=1, seed=s) for s in range(count)]
+    starts = [0.2 * np.ones(N) for _ in models]
+    input_sets = [
+        [fom.random_input_trajectory(K, 1, -0.5, 0.5, seed=10 * j + l) for l in range(pieces)]
+        for j in range(count)
+    ]
+    S = np.hstack(
+        [
+            fom.simulate(model, x0, U).X[:, ::stride]
+            for model, x0, inputs in zip(models, starts, input_sets)
+            for U in inputs
+        ]
+    )
+    expected = subspace.pod_basis(S, 4)
+
+    pod_basis = subspace.pod_basis
+    received = []
+
+    def capture(snapshots, n):
+        received.append(np.shape(snapshots))
+        return pod_basis(snapshots, n)
+
+    monkeypatch.setattr(subspace, "pod_basis", capture)
+    basis, _ = opinf.snapshot_basis(models, starts, input_sets, 4, stride)
+    assert received == [(N, min(N, S.shape[1]))]
+    s = expected.singular_values
+    assert basis.singular_values.shape == s.shape
+    assert np.abs(basis.singular_values - s).max() <= 1e-13 * s[0]
+    assert np.abs(basis.matrix - expected.matrix).max() <= 1e-12

@@ -114,3 +114,27 @@ def test_orthonormal_complement():
     assert C.shape == (7, 4)
     assert np.abs(C.T @ C - np.eye(4)).max() <= 1e-12
     assert np.abs(basis.matrix.T @ C).max() <= 1e-12
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_pod_sign_of_mirror_symmetric_modes_ignores_column_order(seed):
+    # x_{15-i} = -x_i in every column, so the two largest magnitudes of each
+    # mode tie up to rounding; their order must not decide the sign
+    rng = np.random.default_rng(seed)
+    H = rng.normal(size=(8, 40))
+    S = np.vstack([H, -H[::-1]])
+    perm = rng.permutation(40)
+    basis = subspace.pod_basis(S, 4)
+    shuffled = subspace.pod_basis(S[:, perm], 4)
+    assert np.abs(basis.matrix - shuffled.matrix).max() <= 1e-12
+
+
+@pytest.mark.parametrize("rows", [4, 30])
+def test_fold_rows_gives_the_r_factor_and_keeps_no_view(rows):
+    A = np.random.default_rng(9).normal(size=(rows, 6))
+    work = np.asfortranarray(A)
+    R = subspace.fold_rows(work)
+    assert R.shape == (min(rows, 6), 6)
+    assert np.array_equal(R, np.triu(R))
+    assert not np.shares_memory(R, work)
+    assert np.allclose(R.T @ R, A.T @ A, rtol=0.0, atol=1e-12 * np.linalg.norm(A) ** 2)
