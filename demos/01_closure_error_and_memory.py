@@ -14,7 +14,6 @@ Run:  python3 demos/01_closure_error_and_memory.py
 import numpy as np
 
 from opinfer import (
-    assemble_data_matrix,
     closure_error,
     closure_error_per_step,
     galerkin_project,
@@ -59,12 +58,10 @@ print(f"  split reassembles the projected trajectory to {gap:.2e}")
 
 # Operator inference on the projected data absorbs the memory term into the
 # fitted operator; on re-projected data there is nothing to absorb.
-plain_data = assemble_data_matrix(projected[:, :K], None, 1)
-plain, plain_residual, _ = infer_operators(plain_data, projected[:, 1:])
+plain, plain_residual, _ = infer_operators(projected[:, :K], projected[:, 1:], None, 1)
 
 bar = reproject_sample(model, basis, x0, num_steps=K)
-reproj_data = assemble_data_matrix(bar.X, None, 1, source="re-projected")
-reproj, reproj_residual, certificate = infer_operators(reproj_data, bar.Y)
+reproj, reproj_residual, certificate = infer_operators(bar.X, bar.Y, None, 1, "re-projected")
 
 print("\noperator fits against the intrusive (Galerkin) operator:")
 ref = intrusive.operators[0]

@@ -15,7 +15,6 @@ Run:  python3 demos/02_exact_recovery_polynomial.py
 import numpy as np
 
 from opinfer import (
-    assemble_data_matrix,
     concat_trajectories,
     galerkin_project,
     infer_operators,
@@ -56,8 +55,7 @@ for l in range(8):
     bar = reproject_sample(model, basis, x0, U)
     pieces.append((bar, U))
 X, Y, U_all = concat_trajectories(pieces)
-data = assemble_data_matrix(X, U_all, model.degree, source="re-projected")
-learned, residual, certificate = infer_operators(data, Y)
+learned, residual, certificate = infer_operators(X, Y, U_all, model.degree, "re-projected")
 
 print(f"\ncertificate: K = {certificate.num_columns}, rank = {certificate.numerical_rank}"
       f"/{certificate.required_columns}, cond(Ds^T Ds) = {certificate.condition_number:.2e},"

@@ -9,6 +9,9 @@ accumulates, and the practical caveat: the condition number of Ds^T Ds grows
 with the reduced dimension, amplifying round-off in the recovered operators.
 Ds = diag(1/w) D is the data matrix with each row scaled to unit norm; the
 certificates decide rank on it, so the scale of the rows does not matter.
+Neither `certify` nor `infer_operators` forms Ds: the columns of D fold chunk
+by chunk into a triangle R11 with D^T = Q R11, and Ds has the spectrum of
+R11 diag(1/w).
 
 Run:  python3 demos/04_certificates_and_conditioning.py
 """
@@ -57,7 +60,7 @@ for l in range(6):
     print(f"{l + 1:>7} {c.num_columns:>5} {c.numerical_rank:>5} {c.required_columns:>9} "
           f"{str(c.satisfied):>10} {c.condition_number:>14.3e}")
 
-learned, residual, c = infer_operators(data, Y)
+learned, residual, c = infer_operators(X, Y, U_all, 2, "re-projected")
 intrusive = galerkin_project(model, basis)
 rel = np.linalg.norm(learned.stacked() - intrusive.stacked()) / np.linalg.norm(
     intrusive.stacked()
@@ -73,8 +76,7 @@ print(f"{'n':>3} {'cond(Ds^T Ds)':>14} {'recovery error':>15}")
 for n in (2, 4, 6):
     V = Basis(np.eye(10)[:, :n])
     bar = reproject_sample(toy, V, x0, num_steps=100)
-    data = assemble_data_matrix(bar.X, None, 1, source="re-projected")
-    learned, _, c = infer_operators(data, bar.Y)
+    learned, _, c = infer_operators(bar.X, bar.Y, None, 1, "re-projected")
     ref = galerkin_project(toy, V)
     rel = np.linalg.norm(learned.operators[0] - ref.operators[0]) / np.linalg.norm(
         ref.operators[0]

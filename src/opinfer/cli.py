@@ -525,8 +525,7 @@ def _plain_fit(model, projected, inputs):
     matching input trajectories.  Returns (model, residual).
     """
     X, Y, U_all = opinf.concat_trajectories(list(zip(projected, inputs)))
-    data = opinf.assemble_data_matrix(X, U_all, model.degree, source="projected")
-    fitted, residual, _ = opinf.infer_operators(data, Y)
+    fitted, residual, _ = opinf.infer_operators(X, Y, U_all, model.degree, "projected")
     return replace(fitted, parameter=model.parameter), residual
 
 
@@ -721,10 +720,10 @@ def run_toy(config):
         tilde = rom.reduced_simulate(intrusive, proj[:, 0], num_steps=K)
 
         bar = opinf.reproject_sample(model, basis, x0, num_steps=K)
-        data_r = opinf.assemble_data_matrix(bar.X, None, 1, source="re-projected")
-        model_r, resid_r, certificate = opinf.infer_operators(data_r, bar.Y)
-        data_p = opinf.assemble_data_matrix(proj[:, :K], None, 1, source="projected")
-        model_p, resid_p, _ = opinf.infer_operators(data_p, proj[:, 1:])
+        model_r, resid_r, certificate = opinf.infer_operators(
+            bar.X, bar.Y, None, 1, "re-projected"
+        )
+        model_p, resid_p, _ = opinf.infer_operators(proj[:, :K], proj[:, 1:], None, 1)
 
         Z_r = rom.reduced_simulate(model_r, proj[:, 0], num_steps=K)
         Z_p = rom.reduced_simulate(model_p, proj[:, 0], num_steps=K)

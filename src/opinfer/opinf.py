@@ -5,12 +5,13 @@ projection onto the reduced space, so the sampled sequence obeys exactly the
 Markovian reduced dynamics.  Fitting operators to such data by least squares
 recovers the intrusive Galerkin operators whenever the recovery certificate
 holds: enough columns (K >= p + sum_i n_i) and a full-rank data matrix.
+The fit streams: the data matrix is built and folded one column chunk at a
+time into a triangle whose size does not depend on K (`infer_operators`).
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg as la
 
 from . import fom as _fom
 from . import subspace as _subspace
@@ -20,6 +21,10 @@ from .subspace import basis_matrix
 
 RANK_TOL = 1e-12  # singular values below RANK_TOL * sigma_1 do not count as rank
 MEMBERSHIP_TOL = 1e-10  # relative residual allowed for x0 in span(V)
+# rows of [D^T | Y^T] folded at a time, in widths of the triangle: a fold costs
+# about (1 + 1 / _CHUNK_WIDTHS) times a single QR of all rows
+_CHUNK_WIDTHS = 12
+_SOURCES = ("projected", "re-projected")  # how the regression states were sampled
 
 
 @dataclass(frozen=True)
@@ -37,7 +42,7 @@ class DataMatrix:
     source: str = "projected"
 
     def __post_init__(self):
-        if self.source not in ("projected", "re-projected"):
+        if self.source not in _SOURCES:
             raise ValueError(f"unknown data source {self.source!r}")
         rows = self.input_dim + sum(
             compressed_dim(self.reduced_dim, i) for i in range(1, self.degree + 1)
@@ -61,11 +66,13 @@ class RecoveryCertificate:
     operators: enough data columns and a full-rank data matrix.
 
     Rank and conditioning are read off the row-equilibrated data matrix
-    diag(1/w) D, where w holds the row norms of D (zero rows keep weight 1),
-    so the rank decision does not depend on how the rows of X, X^2, ..., U
-    happen to be scaled.  `singular_values` is that equilibrated spectrum and
-    `condition_number` is (sigma_1 / sigma_rank)^2 of it; the raw cond of
-    D^T D is `diagnostics.condition_number`.
+    D_s = diag(1/w) D, where w holds the row norms of D (zero rows keep
+    weight 1), so the rank decision does not depend on how the rows of X,
+    X^2, ..., U happen to be scaled.  D^T = Q R11 folds chunk by chunk into
+    the triangle R11 (`infer_operators`, `certify`), whose column norms are w,
+    so D_s has the spectrum of R11 diag(1/w).  `singular_values` holds those
+    min(K, rows) values and `condition_number` is (sigma_1 / sigma_rank)^2
+    of them; the raw cond of D^T D is `diagnostics.condition_number`.
     """
 
     num_columns: int
@@ -175,21 +182,50 @@ def concat_trajectories(pieces):
     return X, Y, U
 
 
-def _equilibrate(D):
-    """Row-equilibrated copy diag(1/w) D and the row norms w (zero rows: 1)."""
-    w = np.linalg.norm(D, axis=1)
+def _fold(chunks, width):
+    """Triangular factor R, shape (min(M, width), width), of the QR
+    factorization of the M rows [A_1^T B_1^T ...; A_2^T B_2^T ...; ...] of
+    the column chunks (A_c, B_c, ...) that `chunks` yields.
+
+    Each chunk's rows are stacked under R and folded into it by
+    `subspace.fold_rows`, so only R and one chunk of rows are held at a time.
+    """
+    R = np.empty((0, width))
+    for parts in chunks:
+        rows = np.empty((len(R) + parts[0].shape[1], width), order="F")
+        rows[: len(R)] = R
+        col = 0
+        for part in parts:
+            rows[len(R) :, col : col + len(part)] = part.T
+            col += len(part)
+        R = _subspace.fold_rows(rows)
+    return R
+
+
+def _equilibrated_svd(R11):
+    """Row norms w of D (zero rows: 1) and the thin SVD U, s, W^T of
+    R11 diag(1/w), where D^T = Q R11 with orthonormal Q.
+
+    The columns of R11 have the norms of the rows of D, and R11 diag(1/w)
+    has the singular values of the row-equilibrated D_s = diag(1/w) D.
+    """
+    w = np.linalg.norm(R11, axis=0)
     w[w == 0.0] = 1.0
-    return D / w[:, None], w
+    return (w, *np.linalg.svd(R11 / w, full_matrices=False))
 
 
 def certify(data):
     """Recovery certificate of a data matrix (column count, rank, conditioning).
 
     Rank and conditioning are those of the row-equilibrated data matrix (see
-    `RecoveryCertificate`), the same spectrum `infer_operators` decides on.
+    `RecoveryCertificate`): the spectrum of R11 diag(1/w), where R11 is the
+    triangle that the columns of D fold into chunk by chunk, as in
+    `infer_operators`.
     """
-    D_s, _ = _equilibrate(data.matrix)
-    s = la.svdvals(D_s)
+    D = data.matrix
+    length = _CHUNK_WIDTHS * len(D)
+    R = _fold(((D[:, k : k + length],) for k in range(0, data.num_columns, length)), len(D))
+    s = _equilibrated_svd(R)[2]
     return _certificate(s, data.num_columns, data.required_columns)
 
 
@@ -210,71 +246,86 @@ def _certificate(singular_values, num_columns, required):
     )
 
 
-def _lstsq_in_place(A, b):
-    """Minimum-norm solution of min ||A x - b||_F by LAPACK gelsd, which
-    factorizes A in place; returns (x, singular values of A).
+def _correction(Ot, W, s, chunks):
+    """One step of corrected semi-normal equations (Bjorck, Linear Algebra
+    Appl. 88/89, 1987) for O^T: with the residual gradient
+    g = sum_c D_c (Y_c - O D_c)^T over the chunks (D_c, Y_c), returns
+    W diag(1/s^2) W^T g, where W = diag(1/w) W_k and s = s_k.
 
-    `scipy.linalg.lstsq` copies A for gelsd whatever `overwrite_a` says, which
-    would hold a third data-matrix-sized array; a Fortran-ordered A (the
-    transpose of a C-ordered data matrix) is used here without a copy.
+    The correction lies in span(W), so a rank-deficient fit keeps the
+    minimum norm of its equilibrated coordinates.
     """
-    m, r = A.shape
-    if m == 0:  # no data columns; LAPACK rejects the empty problem
-        return np.zeros((r, b.shape[1])), np.empty(0)
-    gelsd, gelsd_lwork = la.get_lapack_funcs(("gelsd", "gelsd_lwork"), (A, b))
-    lwork, iwork, _ = gelsd_lwork(m, r, b.shape[1], RANK_TOL)
-    rhs = np.zeros((max(m, r), b.shape[1]), order="F")
-    rhs[:m] = b
-    x, s, _, info = gelsd(
-        A, rhs, int(lwork), iwork, RANK_TOL, overwrite_a=True, overwrite_b=True
-    )
-    if info > 0:
-        raise la.LinAlgError("SVD did not converge in linear least squares")
-    return x[:r], s
+    g = np.zeros_like(Ot)
+    for D_c, Y_c in chunks:
+        g += D_c @ (Y_c.T - D_c.T @ Ot)
+    return W @ ((W.T @ g) / s[:, None] ** 2)
 
 
-def infer_operators(data, Y):
-    """Least-squares operator fit min ||D^T O^T - Y^T||_F.
+def infer_operators(X, Y, U, degree, source="projected"):
+    """Least-squares operator fit min ||D^T O^T - Y^T||_F for the data matrix
+    D of the states X (n, K) and inputs U (p, K) or None (see
+    `assemble_data_matrix`), without forming D.
 
-    The rows of D are equilibrated first, D_s = diag(1/w) D with w the row
-    norms, so the rank decision (RANK_TOL * sigma_1) sees the data and not
-    the relative scale of the monomial and input blocks; the fit is then
-    O = O_s diag(1/w).  This leaves a full-rank solution unchanged.  D_s is
-    solved through one SVD-based rank-revealing factorization (never the
-    normal equations, whose condition number is squared), whose spectrum
-    also gives the certificate.  A rank-deficient data matrix yields the
-    solution of minimum norm in the equilibrated coordinates (min ||O_s||_F,
-    not min ||O||_F) together with an unsatisfied certificate; the
-    certificate is always attached, so silent bad fits cannot occur.
+    The rows [D_c^T | Y_c^T] of each column chunk of _CHUNK_WIDTHS (r + n)
+    columns, with r the rows of D, fold into one (r + n)-wide triangle
+    R = [R11 R12; 0 R22] (`_fold`).  The rows of D are equilibrated,
+    D_s = diag(1/w) D with w the row norms, which are the column norms of
+    R11, so the rank decision (RANK_TOL * sigma_1) sees the data and not the
+    relative scale of the monomial and input blocks.  With the SVD
+    R11 diag(1/w) = U S W^T, cut at that rank k,
+    O^T = diag(1/w) W_k S_k^-1 U_k^T R12, the minimum-norm solution in the
+    equilibrated coordinates (min ||O_s||_F, not min ||O||_F); one second
+    pass over the chunks refines it by `_correction`.  The normal equations,
+    whose condition number is squared, are never solved alone.  The same
+    spectrum gives the certificate, which is always attached, so a
+    rank-deficient fit comes with an unsatisfied certificate and silent bad
+    fits cannot occur.
 
     Returns (model, residual, certificate) where residual is the Frobenius
-    norm of the regression misfit.
+    norm of the regression misfit, sqrt(||R11 O^T - R12||^2 + ||R22||^2).
     """
+    if source not in _SOURCES:
+        raise ValueError(f"unknown data source {source!r}")
+    X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    if Y.ndim != 2 or Y.shape[0] != data.reduced_dim:
-        raise ValueError(
-            f"Y must have shape ({data.reduced_dim}, K), got {Y.shape}"
-        )
-    if Y.shape[1] != data.num_columns:
-        raise ValueError(
-            f"Y has {Y.shape[1]} columns, data matrix has {data.num_columns}"
-        )
-    D = data.matrix
-    D_s, w = _equilibrate(D)
-    solution, s = _lstsq_in_place(D_s.T, Y.T)
-    del D_s
-    O = solution.T / w
-    residual = float(np.linalg.norm(D.T @ O.T - Y.T))
-    certificate = _certificate(s, data.num_columns, data.required_columns)
+    if X.ndim != 2:
+        raise ValueError(f"states must be 2-D, got shape {X.shape}")
+    if Y.shape != X.shape:
+        raise ValueError(f"Y must have shape {X.shape}, got {Y.shape}")
+    n, K = X.shape
+    p = 0
+    if U is not None:
+        U = np.asarray(U, dtype=float)
+        if U.ndim != 2 or U.shape[1] != K:
+            raise ValueError(f"states have {K} columns but U has shape {U.shape}")
+        p = U.shape[0]
+    r = p + sum(compressed_dim(n, i) for i in range(1, degree + 1))
+    length = _CHUNK_WIDTHS * (r + n)
 
-    n = data.reduced_dim
+    def chunks():
+        for k in range(0, K, length):
+            cut = slice(k, k + length)
+            data = assemble_data_matrix(X[:, cut], None if U is None else U[:, cut], degree)
+            yield data.matrix, Y[:, cut]
+
+    R = _fold(chunks(), r + n)
+    R11, R12, R22 = R[:r, :r], R[:r, r:], R[r:, r:]
+    w, U_s, s, Wt = _equilibrated_svd(R11)
+    certificate = _certificate(s, K, r)
+    k = certificate.numerical_rank
+    W = Wt[:k].T / w[:, None]
+    Ot = W @ ((U_s[:, :k].T @ R12) / s[:k, None])
+    Ot += _correction(Ot, W, s[:k], chunks())
+    residual = float(np.hypot(np.linalg.norm(R11 @ Ot - R12), np.linalg.norm(R22)))
+
+    O = Ot.T
     operators, start = [], 0
-    for i in range(1, data.degree + 1):
+    for i in range(1, degree + 1):
         ni = compressed_dim(n, i)
         operators.append(O[:, start : start + ni])
         start += ni
-    B = O[:, start:] if data.input_dim else None
-    provenance = "inferred-reprojected" if data.source == "re-projected" else "inferred-plain"
+    B = O[:, start:] if p else None
+    provenance = "inferred-reprojected" if source == "re-projected" else "inferred-plain"
     model = PolynomialModel(operators=tuple(operators), input_matrix=B, provenance=provenance)
     return model, residual, certificate
 
@@ -339,16 +390,16 @@ def fit_reprojected(models, basis, starts, input_sets, reproj_horizon=None):
 
     Model j is sampled with re-projection from starts[j] under input_sets[j]
     (see `reprojected_data`) and its operators are fitted by
-    `infer_operators`; each data matrix is freed before the next is built.
+    `infer_operators`, which folds the data chunk by chunk and never forms
+    the data matrix.
 
     Returns (models, residuals, certificates), one each per model; each
     learned model carries its full model's parameter.
     """
     learned, residuals, certificates = [], [], []
     for model, x0, inputs in zip(models, starts, input_sets):
-        data, Y = reprojected_data(model, basis, x0, inputs, reproj_horizon)
-        fitted, residual, certificate = infer_operators(data, Y)
-        del data, Y
+        X, Y, U = reprojected_data(model, basis, x0, inputs, reproj_horizon)
+        fitted, residual, certificate = infer_operators(X, Y, U, model.degree, "re-projected")
         learned.append(replace(fitted, parameter=model.parameter))
         residuals.append(residual)
         certificates.append(certificate)
@@ -409,18 +460,17 @@ def learn_with_reprojection(
 
 
 def reprojected_data(model, basis, x0, inputs, reproj_horizon=None):
-    """Re-projected regression data for one parameter: (DataMatrix, Y).
+    """Re-projected regression data for one parameter: (X, Y, U).
 
     Samples one re-projected piece per input trajectory (optionally capped at
     `reproj_horizon` steps; the capped inputs must share their length), all
     side by side as one block of `reproject_sample` (whose states have only
-    nbar rows), concatenates them, and assembles the stacked data matrix
-    tagged as re-projected.  A piece that diverges is cut at its own
-    `diverged_at`, as its single run would be; the others keep all their
-    steps.  `x0` is either one initial condition shared by all pieces or a
-    sequence with one start per piece (each must lie in span(V); varied
-    starts enrich the data when trajectories from a single start leave
-    monomial directions unexplored).
+    nbar rows), and concatenates them (`concat_trajectories`).  A piece that
+    diverges is cut at its own `diverged_at`, as its single run would be;
+    the others keep all their steps.  `x0` is either one initial condition
+    shared by all pieces or a sequence with one start per piece (each must
+    lie in span(V); varied starts enrich the data when trajectories from a
+    single start leave monomial directions unexplored).
     """
     starts = list(x0) if isinstance(x0, (list, tuple)) else [x0] * len(inputs)
     if len(starts) != len(inputs):
@@ -431,6 +481,4 @@ def reprojected_data(model, basis, x0, inputs, reproj_horizon=None):
     pieces = [
         (bar.states[:, : end or None, l], U[:, :, l]) for l, end in enumerate(ends)
     ]
-    X, Y, U_all = concat_trajectories(pieces)
-    data = assemble_data_matrix(X, U_all, model.degree, source="re-projected")
-    return data, Y
+    return concat_trajectories(pieces)

@@ -94,8 +94,9 @@ def test_criterion_2_exact_operator_recovery():
         pieces = [sample_piece(piece) for piece in range(14)]
         for top_up in range(6):
             X, Y, U_all = opinf.concat_trajectories(pieces)
-            data = opinf.assemble_data_matrix(X, U_all, model.degree, source="re-projected")
-            learned, _, certificate = opinf.infer_operators(data, Y)
+            learned, _, certificate = opinf.infer_operators(
+                X, Y, U_all, model.degree, "re-projected"
+            )
             if certificate.satisfied and certificate.condition_number <= 1e8:
                 break
             pieces += [sample_piece(14 + 10 * top_up + k) for k in range(10)]

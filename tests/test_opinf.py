@@ -1,4 +1,7 @@
+import tracemalloc
+
 import numpy as np
+import scipy.linalg as la
 import pytest
 
 from opinfer import fom, opinf, rom, subspace
@@ -113,8 +116,7 @@ def test_infer_scalar_linear_system_exactly():
     a = 0.8
     states = np.array([[1.0, a, a**2, a**3]])
     X, Y = states[:, :-1], states[:, 1:]
-    data = opinf.assemble_data_matrix(X, None, degree=1)
-    model, residual, certificate = opinf.infer_operators(data, Y)
+    model, residual, certificate = opinf.infer_operators(X, Y, None, 1)
     assert model.operators[0][0, 0] == pytest.approx(a, rel=1e-14)
     assert residual <= 1e-14
     assert certificate.satisfied
@@ -134,8 +136,7 @@ def test_infer_recovers_intrusive_operators_from_reprojected_data():
         bar = opinf.reproject_sample(model, basis, x0, U)
         pieces.append((bar, U))
     X, Y, U = opinf.concat_trajectories(pieces)
-    data = opinf.assemble_data_matrix(X, U, model.degree, source="re-projected")
-    learned, residual, certificate = opinf.infer_operators(data, Y)
+    learned, residual, certificate = opinf.infer_operators(X, Y, U, model.degree, "re-projected")
 
     assert certificate.satisfied
     gap = np.linalg.norm(learned.stacked() - intrusive.stacked())
@@ -161,7 +162,7 @@ def test_infer_rank_decision_ignores_row_scaling():
     X, Y, U = opinf.concat_trajectories(pieces)
     scale = 1e12
     data = opinf.assemble_data_matrix(X, scale * U, model.degree, source="re-projected")
-    learned, _, certificate = opinf.infer_operators(data, Y)
+    learned, _, certificate = opinf.infer_operators(X, Y, scale * U, model.degree, "re-projected")
 
     assert (certificate.numerical_rank, certificate.required_columns) == (10, 10)
     assert certificate.satisfied
@@ -183,8 +184,7 @@ def test_infer_from_plain_projection_carries_closure_error():
         traj = fom.simulate(model, np.zeros(12), U)
         pieces.append((subspace.project(basis, traj.states), U))
     X, Y, U = opinf.concat_trajectories(pieces)
-    data = opinf.assemble_data_matrix(X, U, model.degree)
-    learned, residual, _ = opinf.infer_operators(data, Y)
+    learned, residual, _ = opinf.infer_operators(X, Y, U, model.degree)
 
     assert learned.provenance == "inferred-plain"
     assert residual > 1e-10
@@ -195,8 +195,7 @@ def test_infer_from_plain_projection_carries_closure_error():
 def test_infer_rank_deficient_returns_min_norm_and_unsatisfied():
     states = np.zeros((2, 4))  # all-zero data: rank 0
     Y = np.zeros((2, 4))
-    data = opinf.assemble_data_matrix(states, None, degree=1)
-    model, residual, certificate = opinf.infer_operators(data, Y)
+    model, residual, certificate = opinf.infer_operators(states, Y, None, 1)
     assert not certificate.satisfied
     assert certificate.numerical_rank == 0
     assert np.array_equal(model.operators[0], np.zeros((2, 2)))
@@ -217,7 +216,7 @@ def test_infer_perturbation_never_improves_residual():
         pieces.append((bar, U))
     X, Y, U = opinf.concat_trajectories(pieces)
     data = opinf.assemble_data_matrix(X, U, model.degree)
-    fitted, residual, _ = opinf.infer_operators(data, Y)
+    fitted, residual, _ = opinf.infer_operators(X, Y, U, model.degree)
     O = fitted.stacked()
     for trial in range(20):
         O_pert = O.copy()
@@ -355,7 +354,8 @@ def test_reprojected_data_cuts_a_diverging_piece_like_its_single_run():
     singles = [opinf.reproject_sample(model, basis, x0, U) for x0, U in zip(starts, inputs)]
     assert [s.diverged for s in singles] == [False, True, False]
     assert 1 < singles[1].diverged_at < 40
-    data, Y = opinf.reprojected_data(model, basis, starts, inputs)
+    X, Y, U = opinf.reprojected_data(model, basis, starts, inputs)
+    data = opinf.assemble_data_matrix(X, U, model.degree, source="re-projected")
     X_ref, Y_ref, U_ref = opinf.concat_trajectories(list(zip(singles, inputs)))
     ref = opinf.assemble_data_matrix(X_ref, U_ref, model.degree, source="re-projected")
     assert data.num_columns == 80 + singles[1].diverged_at - 1
@@ -411,3 +411,101 @@ def test_snapshot_basis_equals_pod_of_explicit_snapshots(monkeypatch, case):
     assert basis.singular_values.shape == s.shape
     assert np.abs(basis.singular_values - s).max() <= 1e-13 * s[0]
     assert np.abs(basis.matrix - expected.matrix).max() <= 1e-12
+
+
+def _equilibrated(X, U, degree):
+    """The row-equilibrated data matrix diag(1/w) D and the row norms w
+    (zero rows: 1), formed explicitly."""
+    D = opinf.assemble_data_matrix(X, U, degree).matrix
+    w = np.linalg.norm(D, axis=1)
+    w[w == 0.0] = 1.0
+    return D / w[:, None], w
+
+
+def _fits(monkeypatch, X, Y, U, degree):
+    """The fit and certificate of `infer_operators`, and its fit without the
+    refining second pass."""
+    fitted, residual, certificate = opinf.infer_operators(X, Y, U, degree, "re-projected")
+    with monkeypatch.context() as patch:
+        patch.setattr(opinf, "_correction", lambda Ot, *args: 0.0)
+        unrefined = opinf.infer_operators(X, Y, U, degree, "re-projected")[0]
+    return fitted, residual, certificate, unrefined
+
+
+def _check_spectrum(certificate, X, U, degree):
+    """The certificate's spectrum, and that of `certify`, are the singular
+    values of the row-equilibrated data matrix."""
+    s = la.svdvals(_equilibrated(X, U, degree)[0])
+    data = opinf.assemble_data_matrix(X, U, degree, source="re-projected")
+    for values in (certificate.singular_values, opinf.certify(data).singular_values):
+        assert values.shape == s.shape
+        assert np.abs(values - s).max(initial=0.0) <= 1e-13 * s.max(initial=0.0)
+
+
+def test_streamed_fit_over_many_chunks_of_ill_conditioned_reprojected_data(monkeypatch):
+    # Chafee-Infante re-projected from the zero state: 84 unknowns per row and
+    # cond(D_s^T D_s) about 1e12; chunks of one triangle width (90 rows) make
+    # the 2000 columns 23 folds
+    monkeypatch.setattr(opinf, "_CHUNK_WIDTHS", 1)
+    model = fom.make_chafee_infante(dt=1e-5, num_nodes=32)
+    inputs = [fom.random_input_trajectory(1000, 1, 0.0, 10.0, seed=l) for l in range(2)]
+    x0 = np.zeros(32)
+    basis, _ = opinf.snapshot_basis([model], [x0], [inputs], 6)
+    X, Y, U = opinf.reprojected_data(model, basis, x0, inputs)
+    fitted, residual, certificate, unrefined = _fits(monkeypatch, X, Y, U, model.degree)
+
+    assert certificate.satisfied and certificate.condition_number > 1e10
+    intrusive = rom.galerkin_project(model, basis).stacked()
+    gap = np.linalg.norm(fitted.stacked() - intrusive)
+    assert gap <= 1e-8 * np.linalg.norm(intrusive)
+    assert gap < np.linalg.norm(unrefined.stacked() - intrusive)
+    assert residual <= 1e-10
+    _check_spectrum(certificate, X, U, model.degree)
+
+
+@pytest.mark.parametrize("K", [6, 0])
+def test_streamed_fit_of_fewer_columns_than_unknowns(monkeypatch, K):
+    # K < r = 10 columns: the triangle has K rows (trapezoidal, or none), the
+    # fit interpolates the data with the minimum equilibrated norm, and the
+    # certificate holds K singular values and is not satisfied
+    model = fom.make_random_polynomial(12, 2, input_dim=1, seed=10)
+    basis = _random_basis(12, 3, 11)
+    rng = np.random.default_rng(12)
+    x0 = subspace.lift(basis, rng.normal(size=(3, 1))).ravel()
+    U = fom.random_input_trajectory(6, 1, -0.5, 0.5, seed=100)[:, :K]
+    bar = opinf.reproject_sample(model, basis, x0, U, num_steps=K)
+    X, Y = bar.X, bar.Y
+    fitted, residual, certificate, unrefined = _fits(monkeypatch, X, Y, U, model.degree)
+
+    assert (certificate.num_columns, certificate.required_columns) == (K, 10)
+    assert certificate.numerical_rank == K and not certificate.satisfied
+    D_s, w = _equilibrated(X, U, model.degree)
+    expected = (np.linalg.pinv(D_s.T) @ Y.T).T / w
+    scale = max(np.linalg.norm(expected), 1.0)
+    assert np.linalg.norm(fitted.stacked() - expected) <= 1e-12 * scale
+    assert residual <= 1e-12 * max(np.linalg.norm(Y), 1.0)
+    # consistent data: the correction is round-off, and it lies in span(W_k),
+    # so the refined fit keeps the minimum norm
+    assert np.linalg.norm(fitted.stacked() - unrefined.stacked()) <= 1e-12 * scale
+    intrusive = rom.galerkin_project(model, basis).stacked()
+    gap = np.linalg.norm(fitted.stacked() - intrusive)
+    assert gap <= np.linalg.norm(unrefined.stacked() - intrusive) + 1e-12 * scale
+    _check_spectrum(certificate, X, U, model.degree)
+
+
+def test_streamed_fit_memory_does_not_grow_with_columns():
+    # chafee sizes: nbar = 6, degree 3, one input (84 unknowns per row)
+    peaks = []
+    for K in (20_000, 40_000):
+        rng = np.random.default_rng(K)
+        X, Y = rng.uniform(-1.0, 1.0, (2, 6, K))
+        U = rng.uniform(0.0, 10.0, (1, K))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            opinf.infer_operators(X, Y, U, 3)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0]
+    assert peaks[0] < 84 * 20_000 * 8 / 4  # far below one data matrix
