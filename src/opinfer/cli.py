@@ -14,11 +14,12 @@ other benchmarks share one pipeline, `run_study`.
 Randomness derives from one base seed: the toy/custom system matrices use the
 seed itself, training input trajectory l of parameter j uses seed + 1000 +
 j * m' + l, dedicated basis-building inputs use offset 700000, and test
-inputs use offset 500000 + i.  Exit codes: 0 success, 2 config error, 3
-numerical failure: an unsatisfied recovery certificate when the config
-demands exact recovery, a full model that diverges on a training or test
-input, or snapshots whose numerical rank is below nbar.  Either error prints
-one line to stderr.
+inputs use offset 500000 + i.  Exit codes: 0 success, 2 config error (an
+output directory that cannot be made or written included; it is made before
+the study runs), 3 numerical failure: an unsatisfied recovery certificate
+when the config demands exact recovery, a full model that diverges on a
+training or test input, or snapshots whose numerical rank is below nbar.
+Either error prints one line to stderr.
 """
 
 import argparse
@@ -499,23 +500,27 @@ _ADAPTERS = {
 
 def _project_pieces(model, starts, inputs, basis, num_steps):
     """Simulate one piece per (start, input) pair for `num_steps` steps and
-    keep only its `diagnostics.project_pieces`: the projected states (nbar,
+    keep only its `diagnostics.project_piece`: the projected states (nbar,
     steps + 1) and the norms the metrics need.  The pieces are stepped side
-    by side as blocks of `fom.simulate`, in groups whose states hold no more
-    than one trajectory or `fom._STACK_BYTES` (`fom._block_groups`); each
-    group's full states are freed before the next is stepped.  A diverging
-    full model raises NumericalFailure naming the earliest diverged step."""
-    run_bytes = model.state_dim * (num_steps + 1) * 8
-    out = []
-    for group in fom._block_groups(len(starts), run_bytes, run_bytes):
-        U = fom._input_block([inputs[l] for l in group], num_steps)
-        # allocated before the full states: allocated after them, it would
-        # sit above the hole they leave in the heap, which malloc keeps resident
-        proj = np.empty((basis.matrix.shape[1], U.shape[1] + 1, len(group)))
-        traj = fom.simulate(model, np.column_stack([starts[l] for l in group]), U)
-        fom._fail_if_diverged(traj)
-        out += diagnostics.project_pieces(basis, traj.states, num_steps, proj)
-    return out
+    by side as one block in windows of `fom._windows`; V^T of each window
+    is written into the projected states and its squared norms are added
+    up, so no more than one window of full states is held.  A diverging full
+    model raises NumericalFailure naming the earliest diverged step."""
+    M = basis.matrix
+    U = fom._input_block(inputs, num_steps)
+    # allocated before the window: allocated after it, it would sit above
+    # the hole the window leaves in the heap, which malloc keeps resident
+    proj = np.empty((M.shape[1], num_steps + 1, len(starts)))
+    x_norms_sq = np.zeros(len(starts))
+    run = fom._checked(model, np.column_stack(starts), U, num_steps)
+    for k, states, diverged_at in fom._windows(model.block_step, *run):
+        fom._fail_if_diverged(diverged_at)
+        w = states.shape[1] - 1
+        proj[:, k : k + w + 1] = (M.T @ states.reshape(len(M), -1)).reshape(-1, w + 1, len(starts))
+        # x_k .. x_{k+w-1}: x_{k+w} starts the next window
+        x_norms_sq += np.einsum("ikl,ikl->l", states[:, :w], states[:, :w])
+    mode_norms_sq = np.einsum("ikl,ikl->il", proj[:, :num_steps], proj[:, :num_steps])
+    return [(proj[:, :, l], x_norms_sq[l], mode_norms_sq[:, l]) for l in range(len(starts))]
 
 
 def _plain_fit(model, projected, inputs):
@@ -531,57 +536,38 @@ def _plain_fit(model, projected, inputs):
 
 _METHODS = ("intrusive", "opinf-reproj", "opinf-plain")
 
-def _piece_groups(num_pieces, dims, num_steps):
-    """Groups of pieces for `_group_sums` (`fom._block_groups`).  The stack
-    holds len(dims) * len(_METHODS) runs per piece; a group holds no more
-    than the three runs of one dimension over all pieces, which is what
-    stepping one dimension at a time would hold."""
-    run_bytes = len(_METHODS) * max(dims) * (num_steps + 1) * 8
-    return fom._block_groups(num_pieces, len(dims) * run_bytes, num_pieces * run_bytes)
-
-
-def _group_sums(models, dims, num_steps, pieces, inputs, skip):
-    """Step one group of pieces as one stack of `rom.simulate_truncations`.
-    Returns, per (n, method), whether it is in `skip` or diverged on a piece
-    of the group, and its `state_error_sums` and `difference_sums` to the
-    intrusive model over the group (0 where either model diverged)."""
-    K = num_steps
-    stack = rom.simulate_truncations(models, dims, fom._input_block(inputs, K), K)
-    # (n_max, K+1, n, method, piece) -> an (n, method, piece, n_max, K+1) view
-    runs = stack.states.reshape(-1, K + 1, len(dims), len(models), len(pieces))
-    runs = np.moveaxis(runs, (0, 1), (3, 4))
-    diverged = skip.copy()
-    if stack.diverged:
-        diverged |= stack.diverged_at.reshape(runs.shape[:3]).any(axis=-1)
-    errors = np.zeros(diverged.shape + (2,))
-    diffs = np.zeros(diverged.shape + (2,))
-    for d, n in enumerate(dims):
-        for j in np.flatnonzero(~diverged[d]):
-            Z = runs[d, j, :, :n, :K]  # one (n, K) per piece
-            errors[d, j] = diagnostics.state_error_sums(pieces, Z)
-            if j and not diverged[d, 0]:
-                diffs[d, j] = diagnostics.difference_sums(runs[d, 0, :, :n, :K], Z)
-    return diverged, errors, diffs
-
 
 def _evaluate(config, split, mu, models, residuals, pieces, inputs):
     """Metric rows of one parameter: every model of `models` (one per method
     in _METHODS) truncated to each dimension and run from zero on `inputs`,
-    whose projected full trajectories are `pieces`, in one stack per group
-    of pieces (`_piece_groups`, `_group_sums`).  A model has diverged when
-    any of its pieces did.  The learned models are compared with the
-    intrusive one unless that diverged."""
+    whose projected full trajectories are `pieces`, all as one stack of
+    `rom.simulate_truncations`.  The `diagnostics.state_error_sums` and
+    `difference_sums` of its windows add up to the sums of the metrics.  A
+    model has diverged when any of its pieces did; its sums are dropped.
+    The learned models are compared with the intrusive one unless that
+    diverged."""
     K, dims = config.num_steps, config.truncation_dims
-    diverged = np.zeros((len(dims), len(models)), dtype=bool)
-    errors = np.zeros((len(dims), len(models), 2))
-    diffs = np.zeros((len(dims), len(models), 2))
-    for group in _piece_groups(len(pieces), dims, K):
-        # the group's stack is freed when _group_sums returns
-        diverged, group_errors, group_diffs = _group_sums(
-            models, dims, K, [pieces[l] for l in group], [inputs[l] for l in group], diverged
-        )
-        errors += group_errors
-        diffs += group_diffs
+    shape = (len(dims), len(models), len(pieces))
+    diverged = np.zeros(shape[:2], dtype=bool)
+    errors = np.zeros(shape[:2] + (2,))
+    diffs = np.zeros(shape[:2] + (2,))
+    for k, states, diverged_at in rom.simulate_truncations(
+        models, dims, fom._input_block(inputs, K), K
+    ):
+        if diverged_at is not None:
+            diverged = diverged_at.reshape(shape).any(axis=-1)
+        w = states.shape[1] - 1
+        # x_k .. x_{k+w-1} as an (n, method, piece, n_max, w) view
+        runs = np.moveaxis(states[:, :w].reshape((-1, w) + shape), (0, 1), (3, 4))
+        # a model that diverges in a later window may overflow here first;
+        # its sums are dropped
+        with np.errstate(over="ignore", invalid="ignore"):
+            for d, n in enumerate(dims):
+                for j in np.flatnonzero(~diverged[d]):
+                    Z = runs[d, j, :, :n]  # one (n, w) per piece
+                    errors[d, j] += diagnostics.state_error_sums(pieces, Z, k)
+                    if j and not diverged[d, 0]:
+                        diffs[d, j] += diagnostics.difference_sums(runs[d, 0, :, :n], Z)
     rows = []
     for d, n in enumerate(dims):
         for j, (method, residual) in enumerate(zip(_METHODS, residuals)):
@@ -837,12 +823,17 @@ def main(argv=None):
     else:
         runner = run_toy if config.benchmark == "toy" else run_study
     try:
+        # an output directory that cannot be made fails before the study
+        os.makedirs(config.out_dir, exist_ok=True)
         report = runner(config)
+        paths = report.write(config.out_dir)
+    except OSError as err:
+        print(f"output error: {err}", file=sys.stderr)
+        return EXIT_CONFIG
     except (NumericalFailure, subspace.RankError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
 
-    paths = report.write(config.out_dir)
     try:
         print(f"{config.benchmark} ({config.scale}, seed {config.seed}): "
               f"{len(report.metric_rows)} metric rows, "

@@ -57,24 +57,9 @@ def project_piece(V, X, num_steps):
     """(V^T X, ||X||_F^2, squared row norms of V^T X) of a full trajectory X
     (N, K+1), norms over its leading `num_steps` columns: all that
     `pooled_rel_state_error` needs of X."""
-    return project_pieces(V, np.asarray(X, dtype=float)[:, :, None], num_steps)[0]
-
-
-def project_pieces(V, X, num_steps, out=None):
-    """`project_piece` of each trajectory of a block X (N, K+1, m), from one
-    product V^T X, written into `out` (n, K+1, m) if given; no temporary is
-    larger than one trajectory."""
-    M = basis_matrix(V)
-    proj = np.empty((M.shape[1],) + X.shape[1:]) if out is None else out
-    np.matmul(M.T, X.reshape(X.shape[0], -1), out=proj.reshape(M.shape[1], -1))
-    return [
-        (
-            proj[:, :, l],
-            float(np.sum(X[:, :num_steps, l] ** 2)),
-            np.sum(proj[:, :num_steps, l] ** 2, axis=1),
-        )
-        for l in range(X.shape[2])
-    ]
+    X = np.asarray(X, dtype=float)
+    proj = basis_matrix(V).T @ X
+    return proj, float(np.sum(X[:, :num_steps] ** 2)), np.sum(proj[:, :num_steps] ** 2, axis=1)
 
 
 def pooled_rel_state_error(pieces, reduced):
@@ -90,17 +75,20 @@ def pooled_rel_state_error(pieces, reduced):
     return pooled_ratio(state_error_sums(pieces, reduced))
 
 
-def state_error_sums(pieces, reduced):
-    """The two sums of `pooled_rel_state_error`; the sums of groups of
-    pieces add up to those of all pieces."""
+def state_error_sums(pieces, reduced, start=0):
+    """The two sums of `pooled_rel_state_error` of reduced trajectories Z_l
+    (n, K) that hold the columns start .. start + K - 1 of whole ones.  Sums
+    over pieces, and over windows that tile the columns, add up: the terms
+    ||X_l||^2 - ||V_n^T X_l||^2, which do not depend on Z, count at start 0."""
     err_sq = ref_sq = 0.0
     for (proj, x_norm_sq, mode_norms_sq), Z in zip(pieces, reduced):
         n, K = Z.shape
         if n > proj.shape[0]:
             raise ValueError(f"Z has {n} rows, basis has {proj.shape[0]} columns")
-        err_sq += float(np.sum((Z - proj[:n, :K]) ** 2))
-        err_sq += x_norm_sq - float(np.sum(mode_norms_sq[:n]))
-        ref_sq += x_norm_sq
+        err_sq += float(np.sum((Z - proj[:n, start : start + K]) ** 2))
+        if start == 0:
+            err_sq += x_norm_sq - float(np.sum(mode_norms_sq[:n]))
+            ref_sq += x_norm_sq
     return err_sq, ref_sq
 
 

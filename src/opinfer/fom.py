@@ -42,7 +42,8 @@ class Trajectory:
     while the others go on, so its frozen columns are no transitions;
     `diverged_at` is then an (m,) integer array of each sequence's first
     non-finite index, 0 for the sequences that stayed finite, and None if
-    all of them did.
+    all of them did.  The study passes, which reduce their states, take them
+    window by window from `_windows` instead and never hold all K+1.
     """
 
     states: np.ndarray
@@ -144,18 +145,23 @@ def simulate(model, x0, U=None, num_steps=None):
     x0 is one start (N,) with input columns u_0 .. (at least num_steps of
     them) as a (p, K) array, or a block of m starts (N, m) with inputs
     (p, K, m), stepped side by side into states (N, K+1, m); U is ignored for
-    input-free models.  The arguments are checked once here and the model's
-    unchecked `block_step` goes to `_run`.  A single run stops early with the
-    divergence flag set; in a block a diverged column is frozen and the
-    others go on (see `Trajectory`).
+    input-free models.  The arguments are checked once here (`_checked`)
+    and the model's unchecked `block_step` goes to `_run`.  A single run
+    stops early with the divergence flag set; in a block a diverged column
+    is frozen and the others go on (see `Trajectory`).
     """
+    return _run(model.block_step, *_checked(model, x0, U, num_steps))
+
+
+def _checked(model, x0, U, num_steps):
+    """The arguments (x0, U, num_steps) of a run of `model` for `_run` or
+    `_windows`, checked as `simulate` describes them."""
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim not in (1, 2) or x0.shape[0] != model.state_dim:
         raise ValueError(
             f"x0 must have {model.state_dim} rows and 1 or 2 axes, got {x0.shape}"
         )
-    U, num_steps = _input_columns(model, U, num_steps, x0)
-    return _run(model.block_step, x0, U, num_steps)
+    return (x0, *_input_columns(model, U, num_steps, x0))
 
 
 def _input_columns(model, U, num_steps, x0=None):
@@ -187,61 +193,80 @@ def _input_block(inputs, num_steps=None):
     return np.stack(cut, axis=-1)
 
 
-def _fail_if_diverged(traj):
-    """Raise NumericalFailure naming the earliest step at which a run of
-    `traj` (one run or a block) diverged."""
-    if traj.diverged:
-        steps = np.atleast_1d(traj.diverged_at)
+def _fail_if_diverged(diverged_at):
+    """Raise NumericalFailure naming the earliest step at which a run (one
+    run or a block) with this `diverged_at` diverged; None passes."""
+    if diverged_at is not None:
+        steps = np.atleast_1d(diverged_at)
         raise NumericalFailure(f"full model diverged at step {steps[steps > 0].min()}")
 
 
-# A group of starts stepped as one block holds no more states than its caller
-# would hold without blocks, or than _STACK_BYTES if that is more.
-_STACK_BYTES = 128 << 20
+# bytes of the states of one window of `_windows` (which holds at least one step)
+_WINDOW_BYTES = 8 << 20
 
 
-def _block_groups(count, start_bytes, held_bytes):
-    """Split `count` starts whose runs hold `start_bytes` of states each into
-    ranges, each stepped as one block of `_run`: a block holds at most
-    `held_bytes` or _STACK_BYTES, whichever is more, and at least one start."""
-    size = max(held_bytes // start_bytes, _STACK_BYTES // start_bytes, 1)
-    return [range(lo, min(lo + size, count)) for lo in range(0, count, size)]
-
-
-def _run(step, x0, U, num_steps):
-    """The one stepping loop: x_{k+1} = step(x_k, u_k) for k < num_steps.
+def _windows(step, x0, U, num_steps, width=None):
+    """The one stepping loop: x_{k+1} = step(x_k, u_k) for k < num_steps,
+    in windows of `width` steps, by default as many as fit in _WINDOW_BYTES.
 
     x0 is one start (dim,) with inputs (p, K), or a block of m starts
     (dim, m) with inputs (p, K, m) that `step` advances side by side; U is
-    None for an input-free model.  A non-finite single run stops; in a block
-    only the non-finite column stops, frozen at its last finite state, so
-    its overflow never reaches the stored states (see `Trajectory`).  The
+    None for an input-free model.  Yields (k, states, diverged_at) at least
+    once: states (dim, w+1[, m]) holds x_k .. x_{k+w}, the next window's
+    first state included, in one buffer that the next window overwrites.  A
+    non-finite single run stops at its last finite state, diverged_at being
+    the index of the first non-finite one.  In a block only a non-finite
+    column stops, frozen at its last finite state from then on, so its
+    overflow never reaches the states; diverged_at is the (m,) array of
+    `Trajectory` so far, or None while every column is finite.  The
     per-column test runs only on a step whose whole-block check fails.
     """
     x0 = np.asarray(x0, dtype=float)
     if not np.isfinite(x0).all():
         raise ValueError("x0 must be finite")
-    states = np.empty((x0.shape[0], num_steps + 1) + x0.shape[1:])
+    if width is None:
+        width = max(_WINDOW_BYTES // (8 * x0.size), 1)
+    width = min(width, num_steps)
+    states = np.empty((x0.shape[0], width + 1) + x0.shape[1:])
     states[:, 0] = x0
     diverged_at = np.zeros(x0.shape[1], dtype=int) if x0.ndim == 2 else None
     frozen = None
-    # divergence is detected, not propagated: overflow warnings are expected
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(num_steps):
-            x = step(states[:, k], None if U is None else U[:, k])
-            if frozen is not None:
-                np.copyto(x, states[:, k], where=frozen)
-            if not np.isfinite(x).all():
-                if diverged_at is None:
-                    return Trajectory(states=states[:, : k + 1].copy(), diverged_at=k + 1)
-                bad = ~np.isfinite(x).all(axis=0)
-                diverged_at[bad] = k + 1
-                frozen = diverged_at > 0
-                np.copyto(x, states[:, k], where=bad)
-            states[:, k + 1] = x
-    if diverged_at is not None and diverged_at.any():
-        return Trajectory(states=states, diverged_at=diverged_at)
-    return Trajectory(states=states)
+    k = 0
+    while True:
+        w = min(width, num_steps - k)
+        # divergence is detected, not propagated: overflow warnings are
+        # expected (the error state is left before each yield)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(w):
+                x = step(states[:, j], None if U is None else U[:, k + j])
+                if frozen is not None:
+                    np.copyto(x, states[:, j], where=frozen)
+                if not np.isfinite(x).all():
+                    if diverged_at is None:
+                        break
+                    bad = ~np.isfinite(x).all(axis=0)
+                    diverged_at[bad] = k + j + 1
+                    frozen = diverged_at > 0
+                    np.copyto(x, states[:, j], where=bad)
+                states[:, j + 1] = x
+            else:
+                j = w
+        if j < w:  # the single run stopped
+            yield k, states[:, : j + 1], k + j + 1
+            return
+        yield k, states[:, : w + 1], None if frozen is None else diverged_at
+        k += w
+        if k == num_steps:
+            return
+        states[:, 0] = states[:, w]
+
+
+def _run(step, x0, U, num_steps):
+    """`_windows` in one window: the whole `Trajectory` of a run or a block."""
+    ((_, states, diverged_at),) = _windows(step, x0, U, num_steps, width=num_steps)
+    if np.ndim(diverged_at) == 0 and diverged_at:
+        states = states.copy()  # a single run cut short frees its unused steps
+    return Trajectory(states=states, diverged_at=diverged_at)
 
 
 def random_input_trajectory(num_steps, input_dim, low, high, seed):

@@ -187,19 +187,28 @@ def _fold(chunks, width):
     factorization of the M rows [A_1^T B_1^T ...; A_2^T B_2^T ...; ...] of
     the column chunks (A_c, B_c, ...) that `chunks` yields.
 
-    Each chunk's rows are stacked under R and folded into it by
-    `subspace.fold_rows`, so only R and one chunk of rows are held at a time.
+    Each chunk's rows are copied as it comes, since a chunk may view a
+    buffer that its producer overwrites next.  Once at least `width` rows
+    wait, they are stacked under R and folded into it by
+    `subspace.fold_rows`, and once more at the end, so only R, fewer than
+    `width` waiting rows and one chunk are held at a time.
     """
-    R = np.empty((0, width))
+    blocks = [np.empty((0, width))]  # R, then the rows that wait
     for parts in chunks:
-        rows = np.empty((len(R) + parts[0].shape[1], width), order="F")
-        rows[: len(R)] = R
-        col = 0
-        for part in parts:
-            rows[len(R) :, col : col + len(part)] = part.T
-            col += len(part)
-        R = _subspace.fold_rows(rows)
-    return R
+        blocks.append(np.hstack([part.T for part in parts]))
+        del parts  # or it keeps the producer's buffer while the next is made
+        if sum(map(len, blocks[1:])) >= width:
+            blocks.append(_fold_rows(blocks))  # blocks is [R] again
+    return _fold_rows(blocks) if any(map(len, blocks[1:])) else blocks[0]
+
+
+def _fold_rows(blocks):
+    """`subspace.fold_rows` of the row blocks stacked in one Fortran-ordered
+    matrix; `blocks` is emptied first, so only that matrix is held in the QR."""
+    rows = np.empty((sum(map(len, blocks)), blocks[0].shape[1]), order="F")
+    np.concatenate(blocks, out=rows)
+    blocks.clear()
+    return _subspace.fold_rows(rows)
 
 
 def _equilibrated_svd(R11):
@@ -334,55 +343,38 @@ def snapshot_basis(models, starts, input_sets, nbar, snapshot_stride=1):
     """Snapshot-and-POD stage: simulate, then cut a POD basis of dimension nbar.
 
     Model j is simulated from starts[j] once per input trajectory in
-    input_sets[j] (all of one length), the inputs side by side as blocks of
-    `fom.simulate`, in groups whose states hold no more than one trajectory
-    or `fom._STACK_BYTES` (`fom._block_groups`).  The snapshot matrix S of
-    every `snapshot_stride`-th column of x_0 .. x_{K-1} is never formed: each
-    group's columns become rows of S^T below the triangular factor R of the
-    rows so far, and `subspace.fold_rows` folds them into R once at least N
-    of them wait, and once more at the end.  Since S = R^T Q^T with
+    input_sets[j] (all of one length), all inputs side by side as one block
+    stepped in windows of `fom._windows`.  The snapshot matrix S of every
+    `snapshot_stride`-th column of x_0 .. x_{K-1} is never formed: each
+    window's columns become rows of S^T that `_fold` folds into the
+    triangular factor R of the rows so far.  Since S = R^T Q^T with
     orthonormal Q, the POD of R^T (N x min(N, width)) has the modes and the
-    singular values of S.  Each group is freed before the next is stepped.
-    Thinning trades basis quality for memory only: recovery does not depend
-    on how the basis was obtained.
+    singular values of S.  Thinning trades basis quality for memory only:
+    recovery does not depend on how the basis was obtained.
 
     Returns (basis, state_scales) where state_scales[j] is the largest state
     norm max_k ||x_k|| over the trajectories of model j.  A diverged
-    trajectory raises `fom.NumericalFailure` naming the earliest diverged
-    step of its group, before any POD.
+    trajectory raises `fom.NumericalFailure` at the window it diverges in,
+    naming the earliest diverged step of its block, before any POD.
     """
     N = models[0].state_dim
-    # R of the folded rows of S^T, then the rows that wait for the next fold
-    rows = np.empty((0, N), order="F")
-    folded = 0
     state_scales = np.zeros(len(models))
-    for j, (model, x0, inputs) in enumerate(zip(models, starts, input_sets)):
-        K = _fom._input_columns(model, inputs[0], None)[1]
-        run_bytes = model.state_dim * (K + 1) * 8
-        for group in _fom._block_groups(len(inputs), run_bytes, run_bytes):
-            m = len(group)
-            traj = _fom.simulate(
-                model, np.column_stack([x0] * m), _fom._input_block([inputs[l] for l in group])
-            )
-            _fom._fail_if_diverged(traj)
-            # squared norms of the columns without a temporary of the block's size
-            sq_norms = np.einsum("ikl,ikl->kl", traj.states, traj.states)
-            state_scales[j] = max(state_scales[j], float(np.sqrt(sq_norms.max())))
-            block = traj.X[:, ::snapshot_stride]
-            cols = block.shape[1]
-            # Fortran order makes the rows one column-major matrix for LAPACK
-            grown = np.empty((len(rows) + m * cols, N), order="F")
-            grown[: len(rows)] = rows
-            # the group's columns piece after piece, seen as a (cols, m, N) view
-            grown[len(rows) :].reshape((cols, m, N), order="F")[...] = block.transpose(1, 2, 0)
-            rows = grown
-            del traj, block, grown
-            if len(rows) - folded >= N:
-                rows = _subspace.fold_rows(rows)
-                folded = len(rows)
-    if len(rows) > folded:
-        rows = _subspace.fold_rows(rows)
-    return _subspace.pod_basis(rows.T, nbar), state_scales
+
+    def snapshot_rows():
+        for j, (model, x0, inputs) in enumerate(zip(models, starts, input_sets)):
+            X0 = np.column_stack([x0] * len(inputs))
+            run = _fom._checked(model, X0, _fom._input_block(inputs), None)
+            for k, states, diverged_at in _fom._windows(model.block_step, *run):
+                _fom._fail_if_diverged(diverged_at)
+                # squared norms of the columns without a temporary of the window's size
+                sq_norms = np.einsum("ikl,ikl->kl", states, states)
+                state_scales[j] = max(state_scales[j], float(np.sqrt(sq_norms.max())))
+                # the strided columns of x_k .. x_{k+w-1}; x_{k+w} starts the next window
+                yield (states[:, -k % snapshot_stride : -1 : snapshot_stride].reshape(N, -1),)
+            del states  # before the next model's window buffer is made
+
+    R = _fold(snapshot_rows(), N)
+    return _subspace.pod_basis(R.T, nbar), state_scales
 
 
 def fit_reprojected(models, basis, starts, input_sets, reproj_horizon=None):

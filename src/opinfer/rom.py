@@ -139,9 +139,9 @@ def simulate_truncations(models, dims, U, num_steps):
     n)`.  The M = len(dims) * len(models) padded operators are stacked in the
     order (n, model), and their states side by side as an (n_max, M * m)
     block, m being the number of input columns U (p, K, m) holds; the inputs
-    broadcast over the models.  Returns the block `fom.Trajectory` of
-    `fom._run`, states (n_max, K+1, M * m): columns s*m .. s*m + m-1 are
-    stack entry s, whose trailing modes stay exactly zero, so that its
+    broadcast over the models.  Returns the windows (k, states, diverged_at)
+    of `fom._windows`, states (n_max, w+1, M * m): columns s*m .. s*m + m-1
+    are stack entry s, whose trailing modes stay exactly zero, so that its
     leading n rows are the run of `truncate(model, n)`.  A diverged entry
     only freezes its own columns.
     """
@@ -176,7 +176,7 @@ def simulate_truncations(models, dims, U, num_steps):
             out += np.matmul(B, u)
         return out.transpose(1, 0, 2).reshape(n_max, M * m)
 
-    return _fom._run(step, np.zeros((n_max, M * m)), U, num_steps)
+    return _fom._windows(step, np.zeros((n_max, M * m)), U, num_steps)
 
 
 def truncate(model, new_dim):

@@ -2,6 +2,7 @@ import errno
 import io
 import json
 import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -237,6 +238,25 @@ def test_main_names_the_earliest_diverged_step_of_a_block(tmp_path, capsys, monk
     assert err == f"numerical failure: full model diverged at step {second}\n"
 
 
+def test_main_with_an_unusable_out_exits_two_before_the_study(tmp_path, capsys, monkeypatch):
+    """An --out that names a file, or a path under a file, cannot be made:
+    exit 2 with one stderr line, before the study runs.  An output file
+    that cannot be written after the study exits 2 the same way."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "run_toy", lambda config: pytest.fail("the study ran"))
+        for out in (blocker, blocker / "sub"):
+            assert cli.main(["toy", "--out", str(out)]) == cli.EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert err.startswith("output error: ") and err.count("\n") == 1
+    (tmp_path / "out" / "metrics.csv").mkdir(parents=True)
+    assert cli.main(["toy", "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith("output error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
 class _ClosedStdout(io.StringIO):
     """A stdout whose reader has gone away."""
 
@@ -340,8 +360,8 @@ def test_avg_rel_error_pools_the_training_pieces(monkeypatch):
 
 def test_evaluate_in_piece_groups_matches_single_runs(monkeypatch):
     """`_evaluate` gives each (n, method) the pooled metrics of its single
-    runs, one per piece, whether all pieces share one stack or each piece is
-    a group of its own; a model that diverges on one piece only is flagged."""
+    runs, one per piece, whether the stack is stepped in one window or in
+    many; a model that diverges on one piece only is flagged."""
     config = cli.default_config("custom")
     config.num_steps, config.nbar, config.truncation_dims = 60, 4, [1, 2, 4]
     K, dims = config.num_steps, config.truncation_dims
@@ -351,7 +371,7 @@ def test_evaluate_in_piece_groups_matches_single_runs(monkeypatch):
         for j in range(3)
     ]
     # a large input matrix blows the second model up on the middle piece and,
-    # at n = 4, on the last: each group must keep the flags of the one before
+    # at n = 4, on the last: each window must keep the flags of the one before
     models[1] = replace(models[1], input_matrix=200.0 * models[1].input_matrix)
     rng = np.random.default_rng(40)
     U = rng.uniform(-1.0, 1.0, (2, K, 3))
@@ -380,15 +400,60 @@ def test_evaluate_in_piece_groups_matches_single_runs(monkeypatch):
         rows = cli._evaluate(config, "train", None, models, (None,) * 3, pieces, inputs)
         return [(r["diverged"], r["avg_rel_error"], r["traj_diff"]) for r in rows]
 
-    assert len(cli._piece_groups(3, dims, K)) == 1
+    def windows():
+        return len(list(rom.simulate_truncations(models, dims, np.stack(inputs, axis=-1), K)))
+
+    assert windows() == 1
     whole = evaluate()
-    monkeypatch.setattr(fom, "_STACK_BYTES", 0)
-    assert len(cli._piece_groups(3, dims, K)) == 3
+    # windows of 7 steps of the (4, 27) stack: the blown-up model has sums
+    # from the windows before it diverges, which must be dropped
+    monkeypatch.setattr(fom, "_WINDOW_BYTES", 7 * 8 * 4 * 27)
+    assert windows() == 9
     grouped = evaluate()
     for rows in (whole, grouped):
         assert [r[0] for r in rows] == [e[0] for e in expected]
         for r, e in zip(rows, expected):
             assert np.allclose(r[1:], e[1:], rtol=1e-10, atol=0.0, equal_nan=True)
+
+
+def _traced_peak(fn):
+    """fn() and the tracemalloc peak of the allocations it makes."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_passes_over_full_states_hold_one_window_whatever_k(monkeypatch):
+    """The snapshot pass, the projected pieces and the evaluation hold one
+    window of states: with N >> nbar, doubling K raises their tracemalloc
+    peaks by less than a tenth of the N K m doubles of the full states it
+    adds."""
+    # windows of 1 MiB: 256 steps of the full block, 1365 of the model stack
+    monkeypatch.setattr(fom, "_WINDOW_BYTES", 1 << 20)
+    N, nbar, m = 256, 4, 2
+    model = fom.make_burgers(0.1, dt=1e-4, num_nodes=N)
+    config = cli.default_config("burgers")
+    config.nbar, config.truncation_dims = nbar, [1, 2, 3, 4]
+    x0 = np.zeros(N)
+    peaks = []
+    for K in (2000, 4000):
+        config.num_steps = K
+        inputs = [fom.random_input_trajectory(K, 1, 0.0, 10.0, seed=l) for l in range(m)]
+        (basis, _), snapshot_peak = _traced_peak(
+            lambda: opinf.snapshot_basis([model], [x0], [inputs], nbar)
+        )
+        pieces, pieces_peak = _traced_peak(
+            lambda: cli._project_pieces(model, [x0] * m, inputs, basis, K)
+        )
+        models = (rom.galerkin_project(model, basis),) * 3
+        _, evaluate_peak = _traced_peak(
+            lambda: cli._evaluate(config, "train", 0.1, models, (None,) * 3, pieces, inputs)
+        )
+        peaks.append(np.array([snapshot_peak, pieces_peak, evaluate_peak]))
+    added = N * 2000 * m * 8
+    assert np.all(peaks[1] - peaks[0] < added / 10), (peaks, added)
 
 
 def _small_burgers_config(tmp_path, seed=1):
@@ -438,15 +503,17 @@ def test_pipeline_simulates_each_training_input_twice(tmp_path, monkeypatch):
     # Once for the snapshots and once for the plain fit and the training
     # evaluation together; once per test parameter.  Each pass steps the
     # inputs of a parameter as one block of starts (N, m): m trajectories.
+    # Full-model runs are the stepping loops whose starts have N rows.
     calls = []
-    simulate = cli.fom.simulate
-
-    def counting_simulate(model, x0, *args, **kwargs):
-        calls.append(np.shape(x0)[1] if np.ndim(x0) == 2 else 1)
-        return simulate(model, x0, *args, **kwargs)
-
-    monkeypatch.setattr(cli.fom, "simulate", counting_simulate)
+    windows = cli.fom._windows
     config = _small_burgers_config(tmp_path)
+
+    def counting_windows(step, x0, *args, **kwargs):
+        if np.shape(x0)[0] == config.state_dim:
+            calls.append(np.shape(x0)[1] if np.ndim(x0) == 2 else 1)
+        return windows(step, x0, *args, **kwargs)
+
+    monkeypatch.setattr(cli.fom, "_windows", counting_windows)
     cli.run_study(config)
     assert sum(calls) == 2 * 3 * 2 + 3  # 3 parameters x 2 inputs, 3 test parameters
     assert len(calls) == 2 * 3 + 3  # one block per pass and parameter

@@ -314,4 +314,69 @@ def test_block_divergence_names_the_earliest_step():
     block = fom.simulate(model, np.zeros((6, 3)), U)
     assert list(block.diverged_at) == [0] + singles[1:]
     with pytest.raises(fom.NumericalFailure, match=f"diverged at step {singles[2]}$"):
-        fom._fail_if_diverged(block)
+        fom._fail_if_diverged(block.diverged_at)
+
+
+def _joined(windows):
+    """The states x_0 .. x_K joined from the windows of `fom._windows`, each
+    copied as it is yielded, and the diverged_at of the last window."""
+    copies, diverged_at = [], None
+    for k, states, diverged_at in windows:
+        assert k == sum(c.shape[1] - 1 for c in copies)
+        copies.append(states.copy())
+        diverged_at = np.copy(diverged_at) if diverged_at is not None else None
+    return np.concatenate([c[:, :-1] for c in copies[:-1]] + copies[-1:], axis=1), diverged_at
+
+
+@pytest.mark.parametrize("steps", [1, 7])
+def test_windows_joined_equal_simulate(monkeypatch, steps):
+    model = fom.make_burgers(0.4, num_nodes=32)
+    rng = np.random.default_rng(25)
+    X0 = 0.1 * rng.normal(size=(32, 3))
+    U = rng.uniform(0.0, 10.0, (1, 40, 3))
+    for x0, u in ((X0[:, 0], U[:, :, 0]), (X0, U)):
+        expected = fom.simulate(model, x0, u)
+        monkeypatch.setattr(fom, "_WINDOW_BYTES", steps * 8 * x0.size)
+        windows = list(fom._windows(model.block_step, x0, u, 40))
+        assert len(windows) == -(-40 // steps)
+        states, diverged_at = _joined(fom._windows(model.block_step, x0, u, 40))
+        assert np.array_equal(states, expected.states) and diverged_at is None
+        # a window is a view of one reused buffer
+        assert all(np.shares_memory(w[1], windows[0][1]) for w in windows)
+
+
+def test_window_of_a_diverging_single_run_ends_at_its_last_finite_state(monkeypatch):
+    model = fom.make_random_polynomial(6, 2, input_dim=1, seed=2)
+    U = np.full((1, 60), 100.0)
+    expected = fom.simulate(model, np.zeros(6), U)
+    assert expected.diverged_at == 12
+    # windows of 7 steps: x_7 .. x_14 would be the second, which stops at x_11
+    monkeypatch.setattr(fom, "_WINDOW_BYTES", 7 * 8 * 6)
+    windows = [(k, states.copy(), d) for k, states, d in fom._windows(model.block_step, np.zeros(6), U, 60)]
+    assert [(k, states.shape[1], d) for k, states, d in windows] == [(0, 8, None), (7, 5, 12)]
+    assert np.isfinite(windows[-1][1]).all()
+    states, diverged_at = _joined(fom._windows(model.block_step, np.zeros(6), U, 60))
+    assert np.array_equal(states, expected.states) and diverged_at == 12
+
+
+def test_block_column_diverged_in_an_earlier_window_stays_frozen(monkeypatch):
+    model = fom.make_random_polynomial(6, 2, input_dim=1, seed=2)
+    U = np.stack([np.full((1, 60), a) for a in (0.1, 100.0)], axis=-1)
+    expected = fom.simulate(model, np.zeros((6, 2)), U)
+    assert list(expected.diverged_at) == [0, 12]
+    last_finite = expected.states[:, 11, 1]
+    # windows of 7 steps: the second column diverges in the second window
+    monkeypatch.setattr(fom, "_WINDOW_BYTES", 7 * 8 * 12)
+    later = 0
+    for k, states, diverged_at in fom._windows(model.block_step, np.zeros((6, 2)), U, 60):
+        assert np.array_equal(states, expected.states[:, k : k + states.shape[1]])
+        if k + states.shape[1] - 1 < 12:
+            assert diverged_at is None
+        else:
+            assert list(diverged_at) == [0, 12]
+        if k > 12:
+            later += 1
+            assert np.all(states[:, :, 1] == last_finite[:, None])
+    assert later == 7  # the windows at k = 14, 21, ..., 56
+    states, diverged_at = _joined(fom._windows(model.block_step, np.zeros((6, 2)), U, 60))
+    assert np.array_equal(states, expected.states) and list(diverged_at) == [0, 12]

@@ -364,24 +364,26 @@ def test_reprojected_data_cuts_a_diverging_piece_like_its_single_run():
     assert np.allclose(Y, Y_ref, rtol=1e-10, atol=0.0)
 
 
-# (state dim, models, inputs per model, steps, stride, one piece per group):
-# one group per model; one piece per group; groups of fewer columns than N,
-# folded once N rows wait; fewer columns than N in all (a trapezoidal R);
-# a snapshot stride
+# (state dim, models, inputs per model, steps, stride, window length or None
+# for the default): one window per model; windows of 7 steps; windows of
+# fewer columns than N, folded once N rows wait; fewer columns than N in all
+# (a trapezoidal R); a snapshot stride; a stride that does not divide the
+# window length
 SNAPSHOT_CASES = {
-    "one group": (12, 2, 3, 40, 1, False),
-    "piece groups": (12, 2, 3, 40, 1, True),
-    "short groups": (30, 2, 5, 8, 1, True),
-    "narrow": (30, 1, 2, 8, 1, True),
-    "stride": (12, 2, 3, 40, 3, False),
+    "one group": (12, 2, 3, 40, 1, None),
+    "piece groups": (12, 2, 3, 40, 1, 7),
+    "short groups": (30, 2, 5, 8, 1, 1),
+    "narrow": (30, 1, 2, 8, 1, 1),
+    "stride": (12, 2, 3, 40, 3, None),
+    "stride across windows": (12, 2, 3, 40, 3, 7),
 }
 
 
 @pytest.mark.parametrize("case", sorted(SNAPSHOT_CASES))
 def test_snapshot_basis_equals_pod_of_explicit_snapshots(monkeypatch, case):
-    N, count, pieces, K, stride, piece_groups = SNAPSHOT_CASES[case]
-    if piece_groups:
-        monkeypatch.setattr(fom, "_STACK_BYTES", 0)
+    N, count, pieces, K, stride, window = SNAPSHOT_CASES[case]
+    if window:
+        monkeypatch.setattr(fom, "_WINDOW_BYTES", window * 8 * N * pieces)
     models = [fom.make_random_polynomial(N, 2, input_dim=1, seed=s) for s in range(count)]
     starts = [0.2 * np.ones(N) for _ in models]
     input_sets = [

@@ -183,7 +183,8 @@ def _stack_and_single_runs(models, dims, U, num_steps):
     """`simulate_truncations` and, per stack entry (n, model), the pair of n
     and the single runs of `reduced_simulate(truncate(model, n), ...)` from
     zero, one per piece."""
-    stack = rom.simulate_truncations(models, dims, U, num_steps)
+    (_, states, diverged_at), = rom.simulate_truncations(models, dims, U, num_steps)
+    stack = fom.Trajectory(states, diverged_at)  # one window at these sizes
     m = 1 if U is None else U.shape[2]
     singles = [
         (n, [
