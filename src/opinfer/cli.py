@@ -14,8 +14,9 @@ other benchmarks share one pipeline, `run_study`.
 Randomness derives from one base seed: the toy/custom system matrices use the
 seed itself, training input trajectory l of parameter j uses seed + 1000 +
 j * m' + l, dedicated basis-building inputs use offset 700000, and test
-inputs use offset 500000 + i.  Exit codes: 0 success, 2 config error (an
-output directory that cannot be made or written included; it is made before
+inputs use offset 500000 + i.  Exit codes: 0 success, 2 config error (test
+parameters outside the range of several training parameters, and an output
+directory that cannot be made or written, included; both are found before
 the study runs), 3 numerical failure: an unsatisfied recovery certificate
 when the config demands exact recovery, a full model that diverges on a
 training or test input, or snapshots whose numerical rank is below nbar.
@@ -152,6 +153,18 @@ class ExperimentConfig:
                 f"param_values must be distinct numbers in the {self.benchmark} "
                 f"domain {domain}, got {values!r}"
             )
+        # the test models interpolate between several training parameters,
+        # which refuses to extrapolate (`rom.interpolate`)
+        adapter = _ADAPTERS.get(self.benchmark)
+        train = adapter(self).train_params() if adapter else [None]
+        if len(train) > 1:
+            low, high = min(train), max(train)
+            outside = [mu for mu in adapter(self).test_params() if not low <= mu <= high]
+            if outside:
+                raise ConfigError(
+                    f"test parameters {[float(mu) for mu in outside]} lie outside the "
+                    f"training range [{low}, {high}]"
+                )
         return self
 
 
@@ -498,29 +511,33 @@ _ADAPTERS = {
 # Shared pipeline machinery
 # ---------------------------------------------------------------------------
 
-def _project_pieces(model, starts, inputs, basis, num_steps):
-    """Simulate one piece per (start, input) pair for `num_steps` steps and
-    keep only its `diagnostics.project_piece`: the projected states (nbar,
-    steps + 1) and the norms the metrics need.  The pieces are stepped side
-    by side as one block in windows of `fom._windows`; V^T of each window
-    is written into the projected states and its squared norms are added
-    up, so no more than one window of full states is held.  A diverging full
+def _project_pieces(models, starts, input_sets, basis, num_steps):
+    """Simulate model j for `num_steps` steps from each start of starts[j]
+    under the matching input of input_sets[j], and keep only each piece's
+    `diagnostics.project_piece`: the projected states (nbar, steps + 1) and
+    the norms the metrics need.  Returns one list of pieces per model.  All
+    pieces of all models are stepped side by side as one block
+    (`fom._stacked`) in windows of `fom._windows`; V^T of each window is
+    written into the projected states and its squared norms are added up,
+    so no more than one window of full states is held.  A diverging full
     model raises NumericalFailure naming the earliest diverged step."""
     M = basis.matrix
-    U = fom._input_block(inputs, num_steps)
+    step, x0, U, num_steps = fom._stacked(models, starts, input_sets, num_steps)
+    count = x0.shape[1]
     # allocated before the window: allocated after it, it would sit above
     # the hole the window leaves in the heap, which malloc keeps resident
-    proj = np.empty((M.shape[1], num_steps + 1, len(starts)))
-    x_norms_sq = np.zeros(len(starts))
-    run = fom._checked(model, np.column_stack(starts), U, num_steps)
-    for k, states, diverged_at in fom._windows(model.block_step, *run):
+    proj = np.empty((M.shape[1], num_steps + 1, count))
+    x_norms_sq = np.zeros(count)
+    for k, states, diverged_at in fom._windows(step, x0, U, num_steps):
         fom._fail_if_diverged(diverged_at)
         w = states.shape[1] - 1
-        proj[:, k : k + w + 1] = (M.T @ states.reshape(len(M), -1)).reshape(-1, w + 1, len(starts))
+        proj[:, k : k + w + 1] = (M.T @ states.reshape(len(M), -1)).reshape(-1, w + 1, count)
         # x_k .. x_{k+w-1}: x_{k+w} starts the next window
         x_norms_sq += np.einsum("ikl,ikl->l", states[:, :w], states[:, :w])
     mode_norms_sq = np.einsum("ikl,ikl->il", proj[:, :num_steps], proj[:, :num_steps])
-    return [(proj[:, :, l], x_norms_sq[l], mode_norms_sq[:, l]) for l in range(len(starts))]
+    pieces = [(proj[:, :, l], x_norms_sq[l], mode_norms_sq[:, l]) for l in range(count)]
+    bounds = np.cumsum([0] + [len(inputs) for inputs in input_sets])
+    return [pieces[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def _plain_fit(model, projected, inputs):
@@ -537,51 +554,83 @@ def _plain_fit(model, projected, inputs):
 _METHODS = ("intrusive", "opinf-reproj", "opinf-plain")
 
 
-def _evaluate(config, split, mu, models, residuals, pieces, inputs):
-    """Metric rows of one parameter: every model of `models` (one per method
-    in _METHODS) truncated to each dimension and run from zero on `inputs`,
-    whose projected full trajectories are `pieces`, all as one stack of
-    `rom.simulate_truncations`.  The `diagnostics.state_error_sums` and
-    `difference_sums` of its windows add up to the sums of the metrics.  A
-    model has diverged when any of its pieces did; its sums are dropped.
-    The learned models are compared with the intrusive one unless that
-    diverged."""
+def _evaluate(config, groups):
+    """Metric rows of every group (split, mu, models, residuals, pieces,
+    inputs), in turn: every model of `models` (one per method in _METHODS)
+    truncated to each dimension and run from zero on `inputs`, whose
+    projected full trajectories are `pieces`.  All groups are one stack of
+    `rom.simulate_truncations`.  The sums of the pooled metrics of
+    `diagnostics` are taken row by row over its windows, for every column
+    at once: the squared errors of a column of dimension n to its projected
+    piece count on its first n rows, and its differences from the intrusive
+    column of its group and piece on all rows, since the rows from n on are
+    zero in both.  A model has diverged when any of its pieces did;
+    its sums are dropped.  The learned models are compared with the
+    intrusive one unless that diverged."""
     K, dims = config.num_steps, config.truncation_dims
-    shape = (len(dims), len(models), len(pieces))
-    diverged = np.zeros(shape[:2], dtype=bool)
-    errors = np.zeros(shape[:2] + (2,))
-    diffs = np.zeros(shape[:2] + (2,))
-    for k, states, diverged_at in rom.simulate_truncations(
-        models, dims, fom._input_block(inputs, K), K
-    ):
-        if diverged_at is not None:
-            diverged = diverged_at.reshape(shape).any(axis=-1)
+    n_max = max(dims)
+    pieces = [piece for group in groups for piece in group[4]]
+    # the stack holds the columns of each n side by side, and among them the
+    # (method, piece) columns of each group, from bounds[g] on
+    shapes = [(len(models), len(group_pieces)) for _, _, models, _, group_pieces, _ in groups]
+    bounds = np.cumsum([0] + [J * P for J, P in shapes])
+    firsts = np.cumsum([0] + [P for _, P in shapes])  # the first piece of each group
+    # the piece of each column of one n, and the intrusive column of that piece
+    piece_of, reference_of = (
+        np.concatenate([start + np.tile(np.arange(P), J) for start, (J, P) in zip(starts, shapes)])
+        for starts in (firsts, bounds)
+    )
+    error_sq = np.zeros((n_max, len(dims), bounds[-1]))  # per row
+    diff_sq = np.zeros((len(dims), bounds[-1]))
+    norm_sq = np.zeros((len(dims), bounds[-1]))
+    diverged = np.zeros((len(dims), bounds[-1]), dtype=bool)
+    stack = [(models, fom._input_block(inputs, K)) for _, _, models, _, _, inputs in groups]
+    for k, states, diverged_at in rom.simulate_truncations(stack, dims, K):
         w = states.shape[1] - 1
-        # x_k .. x_{k+w-1} as an (n, method, piece, n_max, w) view
-        runs = np.moveaxis(states[:, :w].reshape((-1, w) + shape), (0, 1), (3, 4))
-        # a model that diverges in a later window may overflow here first;
-        # its sums are dropped
+        if diverged_at is not None:
+            diverged = diverged_at.reshape(len(dims), -1) > 0
+        projected = np.stack([proj[:n_max, k : k + w] for proj, _, _ in pieces], axis=-1)
+        # the sums of a model that diverges, which may overflow, are dropped
         with np.errstate(over="ignore", invalid="ignore"):
-            for d, n in enumerate(dims):
-                for j in np.flatnonzero(~diverged[d]):
-                    Z = runs[d, j, :, :n]  # one (n, w) per piece
-                    errors[d, j] += diagnostics.state_error_sums(pieces, Z, k)
-                    if j and not diverged[d, 0]:
-                        diffs[d, j] += diagnostics.difference_sums(runs[d, 0, :, :n], Z)
+            for r in range(n_max):
+                # x_k .. x_{k+w-1} of row r as a (step, n, column of that n) view
+                row = states[r, :w].reshape(w, len(dims), -1)
+                gap = row - projected[r][:, None, piece_of]
+                error_sq[r] += np.einsum("knc,knc->nc", gap, gap)
+                gap = row - row[:, :, reference_of]
+                diff_sq += np.einsum("knc,knc->nc", gap, gap)
+                norm_sq += np.einsum("knc,knc->nc", row, row)
+
+    # a column of dimension n errs on its first n rows only
+    error_sq = np.stack([error_sq[:n, d].sum(axis=0) for d, n in enumerate(dims)])
     rows = []
-    for d, n in enumerate(dims):
-        for j, (method, residual) in enumerate(zip(_METHODS, residuals)):
-            avg_rel = traj_diff = float("nan")
-            if not diverged[d, j]:
-                avg_rel = diagnostics.pooled_ratio(errors[d, j])
-                if method != "intrusive" and not diverged[d, 0]:
-                    traj_diff = diagnostics.pooled_ratio(diffs[d, j])
-            rows.append(
-                _metric_row(
-                    config.benchmark, config.nbar, n, mu, method, split,
-                    avg_rel, traj_diff, bool(diverged[d, j]), residual,
+    for (split, mu, _, residuals, group_pieces, _), (J, P), a, b in zip(
+        groups, shapes, bounds, bounds[1:]
+    ):
+        def per_model(sums):
+            """(n, method) sums of the (n, column) ones: over the pieces."""
+            return sums[:, a:b].reshape(len(dims), J, P).sum(axis=2)
+
+        dead = per_model(diverged) > 0
+        errors = per_model(error_sq)
+        diffs = per_model(diff_sq)
+        references = per_model(norm_sq)[:, 0]
+        ref_sq = sum(x_norm_sq for _, x_norm_sq, _ in group_pieces)
+        for d, n in enumerate(dims):
+            # the terms ||X_l||^2 - ||V_n^T X_l||^2 of `pooled_rel_state_error`
+            rest = sum(x_norm_sq - float(np.sum(modes[:n])) for _, x_norm_sq, modes in group_pieces)
+            for j, (method, residual) in enumerate(zip(_METHODS, residuals)):
+                avg_rel = traj_diff = float("nan")
+                if not dead[d, j]:
+                    avg_rel = diagnostics.pooled_ratio((errors[d, j] + rest, ref_sq))
+                    if method != "intrusive" and not dead[d, 0]:
+                        traj_diff = diagnostics.pooled_ratio((diffs[d, j], references[d]))
+                rows.append(
+                    _metric_row(
+                        config.benchmark, config.nbar, n, mu, method, split,
+                        avg_rel, traj_diff, bool(dead[d, j]), residual,
+                    )
                 )
-            )
     return rows
 
 
@@ -592,8 +641,11 @@ def run_study(config, certify_only=False):
     certificate per training parameter), then fits the plain models to
     projected full trajectories and evaluates all three methods on the
     training inputs and, interpolated between the training parameters where
-    there are several, on the test parameters.  With `certify_only` it stops
-    after the certificates.
+    there are several, on the test parameters.  Each pass steps every
+    parameter side by side: one full-model block for the evaluation pieces
+    of both splits, one for the kicked plain-fit pieces when there is a
+    kick, and one reduced-model stack (`_evaluate`).  With `certify_only` it
+    stops after the certificates.
     """
     start = time.perf_counter()
     adapter = _ADAPTERS[config.benchmark](config)
@@ -646,37 +698,43 @@ def run_study(config, certify_only=False):
     intrusive_models = [rom.galerkin_project(model, basis) for model in foms]
     K = config.num_steps
     horizon = min(config.reproj_horizon or K, K)
-    plain_models = []
-    for j, model in enumerate(foms):
-        pieces = _project_pieces(model, [x0] * len(basis_inputs[j]), basis_inputs[j], basis, K)
-        # unkicked plain-fit pieces driven by the evaluation inputs are the
-        # leading steps of the evaluation pieces: one full simulation serves both
-        if config.reproj_start_kick == 0.0 and basis_inputs[j] is reproj_inputs[j]:
-            plain_pieces = pieces
-        else:
-            plain_pieces = _project_pieces(model, starts[j], reproj_inputs[j], basis, horizon)
-        projected = [proj[:, : horizon + 1] for proj, _, _ in plain_pieces]
+    test_mus = adapter.test_params()
+    test_inputs = [[adapter.test_input(i)] for i in range(len(test_mus))]
+    # a test parameter that is also a training one steps with its model
+    by_mu = dict(zip(params, foms))
+    test_foms = [by_mu[mu] if mu in by_mu else adapter.factory(mu) for mu in test_mus]
+    pieces = _project_pieces(
+        foms + test_foms,
+        [[x0] * len(inputs) for inputs in basis_inputs + test_inputs],
+        basis_inputs + test_inputs,
+        basis,
+        K,
+    )
+    # unkicked plain-fit pieces driven by the evaluation inputs are the
+    # leading steps of the evaluation pieces: one full simulation serves both
+    unkicked = config.reproj_start_kick == 0.0
+    if unkicked and all(b is r for b, r in zip(basis_inputs, reproj_inputs)):
+        plain_pieces = pieces
+    else:
+        plain_pieces = _project_pieces(foms, starts, reproj_inputs, basis, horizon)
+    groups, plain_models = [], []
+    for j, (mu, model) in enumerate(zip(params, foms)):
+        projected = [proj[:, : horizon + 1] for proj, _, _ in plain_pieces[j]]
         plain, plain_residual = _plain_fit(model, projected, reproj_inputs[j])
         plain_models.append(plain)
-        report.metric_rows += _evaluate(
-            config, "train", params[j],
-            (intrusive_models[j], reproj_models[j], plain),
-            (None, reproj_residuals[j], plain_residual),
-            pieces, basis_inputs[j],
-        )
-        del pieces, plain_pieces, projected
+        methods = (intrusive_models[j], reproj_models[j], plain)
+        residuals = (None, reproj_residuals[j], plain_residual)
+        groups.append(("train", mu, methods, residuals, pieces[j], basis_inputs[j]))
+    del plain_pieces
 
     by_method = (intrusive_models, reproj_models, plain_models)
-    for i, mu in enumerate(adapter.test_params()):
-        U_test = adapter.test_input(i)
-        pieces = _project_pieces(adapter.factory(mu), [x0], [U_test], basis, K)
+    for mu, model_pieces, inputs in zip(test_mus, pieces[len(foms) :], test_inputs):
         if len(params) > 1:
             at_mu = [rom.interpolate(params, models, mu) for models in by_method]
         else:
             at_mu = [models[0] for models in by_method]
-        report.metric_rows += _evaluate(
-            config, "test", mu, at_mu, (None,) * len(_METHODS), pieces, [U_test]
-        )
+        groups.append(("test", mu, at_mu, (None,) * len(_METHODS), model_pieces, inputs))
+    report.metric_rows += _evaluate(config, groups)
 
     report.wall_clock = time.perf_counter() - start
     return report

@@ -71,40 +71,27 @@ def pooled_rel_state_error(pieces, reduced):
     The split ||V_n Z - X||^2 = ||Z - V_n^T X||^2 + ||X||^2 - ||V_n^T X||^2
     never lifts Z, but its last two terms cancel: relative errors below about
     1e-8 are lost in round-off, and a negative sum is clamped to 0.
+    `cli._evaluate` takes the same sums over the windows of its stack.
     """
-    return pooled_ratio(state_error_sums(pieces, reduced))
-
-
-def state_error_sums(pieces, reduced, start=0):
-    """The two sums of `pooled_rel_state_error` of reduced trajectories Z_l
-    (n, K) that hold the columns start .. start + K - 1 of whole ones.  Sums
-    over pieces, and over windows that tile the columns, add up: the terms
-    ||X_l||^2 - ||V_n^T X_l||^2, which do not depend on Z, count at start 0."""
     err_sq = ref_sq = 0.0
     for (proj, x_norm_sq, mode_norms_sq), Z in zip(pieces, reduced):
         n, K = Z.shape
         if n > proj.shape[0]:
             raise ValueError(f"Z has {n} rows, basis has {proj.shape[0]} columns")
-        err_sq += float(np.sum((Z - proj[:n, start : start + K]) ** 2))
-        if start == 0:
-            err_sq += x_norm_sq - float(np.sum(mode_norms_sq[:n]))
-            ref_sq += x_norm_sq
-    return err_sq, ref_sq
+        err_sq += float(np.sum((Z - proj[:n, :K]) ** 2))
+        err_sq += x_norm_sq - float(np.sum(mode_norms_sq[:n]))
+        ref_sq += x_norm_sq
+    return pooled_ratio((err_sq, ref_sq))
 
 
 def pooled_rel_difference(references, candidates):
     """sqrt(sum_l ||Z_l - R_l||_F^2 / sum_l ||R_l||_F^2) of candidate
     trajectories Z_l from references R_l, pooled as above."""
-    return pooled_ratio(difference_sums(references, candidates))
-
-
-def difference_sums(references, candidates):
-    """The two sums of `pooled_rel_difference`."""
     diff_sq = ref_sq = 0.0
     for R, Z in zip(references, candidates):
         diff_sq += float(np.sum((Z - R) ** 2))
         ref_sq += float(np.sum(R**2))
-    return diff_sq, ref_sq
+    return pooled_ratio((diff_sq, ref_sq))
 
 
 def pooled_ratio(sums):

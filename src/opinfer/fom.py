@@ -13,6 +13,7 @@ attached; `polynomial_step` always goes through the multilinear forms, which
 gives an independent cross-check of each discretization.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -78,6 +79,10 @@ class FullOrderModel:
     state-dimension vectors.  `compressed_operators`, when present, holds the
     matrices A_i acting on compressed powers (kept for models that are built
     from explicit operators; stencil-based benchmarks leave it None).
+    `coefficients`, when present, holds the parameter-dependent scalars c
+    (q,) that `step_impl(x, u, c)` takes as its third argument; models of one
+    benchmark discretization share `step_impl`, so a block of several of
+    them steps with c as rows (q, m), one per column (`_block_step`).
     """
 
     state_dim: int
@@ -89,6 +94,7 @@ class FullOrderModel:
     label: str = "fom"
     step_impl: object = None
     compressed_operators: tuple = None
+    coefficients: np.ndarray = None
 
     def multilinear(self, i, args):
         """Apply the degree-i form to i argument vectors."""
@@ -115,9 +121,14 @@ class FullOrderModel:
     @property
     def block_step(self):
         """Unchecked f(x, u) of a state (N,) with inputs (p,), or of each
-        column of a block (N, m) with inputs (p, m): `step_impl` if attached,
-        else the multilinear forms (which must then accept blocks)."""
-        return self._forms_step if self.step_impl is None else self.step_impl
+        column of a block (N, m) with inputs (p, m): `step_impl` if attached
+        (given the model's `coefficients`, if any), else the multilinear
+        forms (which must then accept blocks)."""
+        if self.step_impl is None:
+            return self._forms_step
+        if self.coefficients is None:
+            return self.step_impl
+        return functools.partial(self.step_impl, c=self.coefficients)
 
     def _forms_step(self, x, u):
         out = np.zeros(x.shape)
@@ -193,6 +204,51 @@ def _input_block(inputs, num_steps=None):
     return np.stack(cut, axis=-1)
 
 
+def _stacked(models, starts, input_sets, num_steps=None):
+    """The arguments (step, x0, U, num_steps) of `_windows` for one block in
+    which model j runs from each start of starts[j] under the matching input
+    trajectory of input_sets[j], every run of every model side by side in
+    that order.  All inputs are cut to their first `num_steps` columns (all
+    by default) and must then share a shape; the runs take one step per
+    input column.  The step is `_block_step`."""
+    if len({(model.state_dim, model.input_dim) for model in models}) != 1:
+        raise ValueError("the models of one block must share state and input dimensions")
+    counts = [len(inputs) for inputs in input_sets]
+    if [len(x0s) for x0s in starts] != counts:
+        raise ValueError("one start per input trajectory required")
+    x0 = np.column_stack([x0 for x0s in starts for x0 in x0s])
+    U = _input_block([U for inputs in input_sets for U in inputs], num_steps)
+    return (_block_step(models, counts), *_checked(models[0], x0, U, None))
+
+
+def _block_step(models, counts):
+    """The unchecked step of a block whose columns belong to the models in
+    turn, counts[j] columns to models[j].
+
+    One model steps the whole block.  Models that share a `step_impl` with
+    `coefficients` step it once, with the coefficients of each column's
+    model as rows.  Other models each step their own column slice.
+    """
+    first = models[0]
+    if all(model is first for model in models):
+        return first.block_step
+    if first.coefficients is not None and all(
+        model.step_impl is first.step_impl for model in models
+    ):
+        rows = np.repeat(np.column_stack([model.coefficients for model in models]), counts, axis=1)
+        return functools.partial(first.step_impl, c=rows)
+    bounds = np.cumsum([0, *counts])
+    slices = [(model.block_step, slice(a, b)) for model, a, b in zip(models, bounds, bounds[1:])]
+
+    def step(x, u):
+        out = np.empty_like(x)
+        for model_step, cut in slices:
+            out[:, cut] = model_step(x[:, cut], None if u is None else u[:, cut])
+        return out
+
+    return step
+
+
 def _fail_if_diverged(diverged_at):
     """Raise NumericalFailure naming the earliest step at which a run (one
     run or a block) with this `diverged_at` diverged; None passes."""
@@ -202,7 +258,7 @@ def _fail_if_diverged(diverged_at):
 
 
 # bytes of the states of one window of `_windows` (which holds at least one step)
-_WINDOW_BYTES = 8 << 20
+_WINDOW_BYTES = 2 << 20
 
 
 def _windows(step, x0, U, num_steps, width=None):
@@ -369,7 +425,7 @@ def make_burgers(mu, dt=1e-4, num_nodes=128):
     quadratic term are zero there), which keeps the quadratic operator and
     the input matrix independent of the diffusion parameter.  Interior nodes
     use central differences for both diffusion and the convection term
-    x * dx/dxi.
+    x * dx/dxi.  The step takes mu as its one coefficient (`_burgers_step`).
     """
     if not 0.1 <= mu <= 1.0:
         raise ValueError(f"mu must lie in [0.1, 1], got {mu}")
@@ -395,7 +451,27 @@ def make_burgers(mu, dt=1e-4, num_nodes=128):
         )
         return out
 
-    def step_impl(x, u):
+    return FullOrderModel(
+        state_dim=N,
+        input_dim=1,
+        degree=2,
+        forms=(lambda w: A1 @ w, quad),
+        input_matrix=B,
+        parameter=mu,
+        label="burgers",
+        step_impl=_burgers_step(dt, N),
+        coefficients=np.array([mu], dtype=float),
+    )
+
+
+@functools.cache
+def _burgers_step(dt, num_nodes):
+    """The Burgers step f(x, u, c) of one grid and time step, mu = c[0] a
+    scalar or a row (m,) of one mu per column; shared by every mu."""
+    h = 2.0 / (num_nodes - 1)
+
+    def step_impl(x, u, c):
+        mu = c[0]
         out = np.empty_like(x)
         out[1:-1] = x[1:-1] + dt * (
             mu * (x[2:] - 2.0 * x[1:-1] + x[:-2]) / h**2
@@ -405,16 +481,7 @@ def make_burgers(mu, dt=1e-4, num_nodes=128):
         out[-1] = -u[0]
         return out
 
-    return FullOrderModel(
-        state_dim=N,
-        input_dim=1,
-        degree=2,
-        forms=(lambda w: A1 @ w, quad),
-        input_matrix=B,
-        parameter=mu,
-        label="burgers",
-        step_impl=step_impl,
-    )
+    return step_impl
 
 
 def make_chafee_infante(dt=1e-5, num_nodes=128):
@@ -473,7 +540,8 @@ def make_diffusion_reaction_2d(mu, grid_points_per_dim=64, dt=1e-2, degree=3):
     (2 or 3).  The expansion's constant term is routed through a second,
     constant-one input channel, so input_dim is 2.  The five-point Laplacian
     is applied in grid units (unscaled); with the 1/h^2 scaling the stated
-    forward-Euler step size would be unstable.
+    forward-Euler step size would be unstable.  The step takes the Taylor
+    coefficients as its coefficients (`_reaction_step`).
     """
     if not 1.0 <= mu <= 1.5:
         raise ValueError(f"mu must lie in [1, 1.5], got {mu}")
@@ -481,13 +549,42 @@ def make_diffusion_reaction_2d(mu, grid_points_per_dim=64, dt=1e-2, degree=3):
         raise ValueError(f"reaction degree must be 2 or 3, got {degree}")
     g = grid_points_per_dim
     N = g * g
+    step_impl = _reaction_step(g, dt, degree)
+    coeff = [reaction_taylor_coeff(mu, k) for k in range(degree + 1)]
+    B = np.column_stack([step_impl.source, dt * coeff[0] * np.ones(N)])
 
+    def linear(w):
+        return w + dt * (step_impl.lap(w) + coeff[1] * w)
+
+    forms = [linear, lambda w, z: dt * coeff[2] * (w * z)]
+    if degree == 3:
+        forms.append(lambda w, z, y: dt * coeff[3] * (w * z * y))
+
+    return FullOrderModel(
+        state_dim=N,
+        input_dim=2,
+        degree=degree,
+        forms=tuple(forms),
+        input_matrix=B,
+        parameter=mu,
+        label="diffusion-reaction-2d",
+        step_impl=step_impl,
+        coefficients=np.array(coeff),
+    )
+
+
+@functools.cache
+def _reaction_step(grid_points_per_dim, dt, degree):
+    """The diffusion-reaction step f(x, u, c) of one grid, time step and
+    degree, shared by every mu.  c holds the Taylor coefficients c_0 ..
+    c_degree, each a scalar or a row (m,) of one per column; c_0 scales the
+    constant input channel, the column of B that depends on mu.  Its
+    `lap` and `source` (dt times the source term, the first column of B)
+    are attributes."""
+    g = grid_points_per_dim
     xi = np.linspace(0.0, 1.0, g)
     s1, s2 = np.meshgrid(np.sin(2 * np.pi * xi), np.sin(2 * np.pi * xi), indexing="ij")
-    source = 0.1 * (s1 * s2).ravel()
-
-    coeff = [reaction_taylor_coeff(mu, k) for k in range(degree + 1)]
-    B = np.column_stack([dt * source, dt * coeff[0] * np.ones(N)])
+    source = dt * (0.1 * (s1 * s2).ravel())
 
     def lap(w):
         """Five-point Laplacian of a state (N,) or of each column of (N, m):
@@ -500,26 +597,12 @@ def make_diffusion_reaction_2d(mu, grid_points_per_dim=64, dt=1e-2, degree=3):
             W[:-2, 1:-1] + W[2:, 1:-1] + W[1:-1, :-2] + W[1:-1, 2:] - 4.0 * W[1:-1, 1:-1]
         ).reshape(w.shape)
 
-    def linear(w):
-        return w + dt * (lap(w) + coeff[1] * w)
-
-    forms = [linear, lambda w, z: dt * coeff[2] * (w * z)]
-    if degree == 3:
-        forms.append(lambda w, z, y: dt * coeff[3] * (w * z * y))
-
-    def step_impl(x, u):
-        react = coeff[1] * x + coeff[2] * x * x
+    def step_impl(x, u, c):
+        react = c[1] * x + c[2] * x * x
         if degree == 3:
-            react += coeff[3] * x * x * x
-        return x + dt * (lap(x) + react) + B @ u
+            react += c[3] * x * x * x
+        # B u, B = [source, dt c_0 1]
+        return x + dt * (lap(x) + react) + (np.multiply.outer(source, u[0]) + dt * c[0] * u[1])
 
-    return FullOrderModel(
-        state_dim=N,
-        input_dim=2,
-        degree=degree,
-        forms=tuple(forms),
-        input_matrix=B,
-        parameter=mu,
-        label="diffusion-reaction-2d",
-        step_impl=step_impl,
-    )
+    step_impl.lap, step_impl.source = lap, source
+    return step_impl

@@ -100,9 +100,17 @@ def reproject_sample(model, V, x0, U=None, num_steps=None):
     Divergence mid-sampling yields a partial trajectory with the flag set,
     or in a block a frozen column, as in `fom.simulate`.
     """
-    M = basis_matrix(V)
     x0 = np.asarray(x0, dtype=float)
-    if x0.ndim not in (1, 2) or x0.shape[0] != model.state_dim or M.shape[0] != model.state_dim:
+    if x0.ndim not in (1, 2) or x0.shape[0] != model.state_dim:
+        raise ValueError("x0 and basis must match the model's state dimension")
+    return _reprojected(model.block_step, V, x0, *_fom._input_columns(model, U, num_steps, x0))
+
+
+def _reprojected(step, V, x0, U, num_steps):
+    """`reproject_sample` of the full-model `step` from the checked starts x0
+    with inputs U."""
+    M = basis_matrix(V)
+    if M.shape[0] != x0.shape[0]:
         raise ValueError("x0 and basis must match the model's state dimension")
     z0 = M.T @ x0
     residual = np.linalg.norm(x0 - M @ z0, axis=0)
@@ -111,8 +119,6 @@ def reproject_sample(model, V, x0, U=None, num_steps=None):
         raise ValueError(
             f"x0 lies outside span(V): relative residual {residual.max():.2e}"
         )
-    U, num_steps = _fom._input_columns(model, U, num_steps, x0)
-    step = model.block_step
 
     def reduced_step(z, u):
         return M.T @ step(M @ z, u)
@@ -182,33 +188,59 @@ def concat_trajectories(pieces):
     return X, Y, U
 
 
-def _fold(chunks, width):
+def _fold(chunks, width, waiting=None):
     """Triangular factor R, shape (min(M, width), width), of the QR
     factorization of the M rows [A_1^T B_1^T ...; A_2^T B_2^T ...; ...] of
     the column chunks (A_c, B_c, ...) that `chunks` yields.
 
-    Each chunk's rows are copied as it comes, since a chunk may view a
-    buffer that its producer overwrites next.  Once at least `width` rows
-    wait, they are stacked under R and folded into it by
-    `subspace.fold_rows`, and once more at the end, so only R, fewer than
-    `width` waiting rows and one chunk are held at a time.
+    The rows are copied as they come, since a chunk may view a buffer that
+    its producer overwrites next, straight into one preallocated
+    Fortran-ordered buffer of `width` + `waiting` rows: by default as many
+    waiting rows as fill one window of `fom._WINDOW_BYTES`, but at least
+    `width`, since a fold costs about (1 + width / waiting) times the QR of
+    its waiting rows alone.  Whenever the buffer is full, which may split a
+    chunk, it is folded in place by `subspace.fold_rows` and its R copied
+    back to the top.  The first fold comes as soon as more than `width`
+    rows have come in `waiting` rows, so that chunks of `waiting` rows fold
+    one by one, and otherwise once the buffer is full: up to `width` rows
+    fold alike whether or not they are folded first.  The rows that wait at
+    the end are folded too.  So only R, the buffer and one chunk are held at
+    a time.
     """
-    blocks = [np.empty((0, width))]  # R, then the rows that wait
+    waiting = waiting or max(width, _fom._WINDOW_BYTES // (8 * width))
+    flat = np.empty((width + waiting) * width)
+
+    def fold(count):
+        """R of the first `count` rows of the buffer, closed up first to the
+        Fortran order of `count` rows; moving the columns in turn overwrites
+        only columns already moved."""
+        closed = flat[: count * width].reshape((count, width), order="F")
+        if count < len(rows):
+            for j in range(width):
+                closed[:, j] = rows[:count, j]
+        return _subspace.fold_rows(closed)
+
+    rows = flat.reshape((width + waiting, width), order="F")
+    top = filled = 0  # rows of R, and of R and the rows that wait
+    limit = waiting if waiting > width else len(rows)  # rows of the next fold
     for parts in chunks:
-        blocks.append(np.hstack([part.T for part in parts]))
+        done, count = 0, parts[0].shape[1]
+        while done < count:
+            take = min(count - done, limit - filled)
+            col = 0
+            for part in parts:
+                rows[filled : filled + take, col : col + len(part)] = part[:, done : done + take].T
+                col += len(part)
+            done += take
+            filled += take
+            if filled == limit:
+                R = fold(filled)
+                top = filled = len(R)
+                rows[:top] = R
+                del R
+                limit = len(rows)
         del parts  # or it keeps the producer's buffer while the next is made
-        if sum(map(len, blocks[1:])) >= width:
-            blocks.append(_fold_rows(blocks))  # blocks is [R] again
-    return _fold_rows(blocks) if any(map(len, blocks[1:])) else blocks[0]
-
-
-def _fold_rows(blocks):
-    """`subspace.fold_rows` of the row blocks stacked in one Fortran-ordered
-    matrix; `blocks` is emptied first, so only that matrix is held in the QR."""
-    rows = np.empty((sum(map(len, blocks)), blocks[0].shape[1]), order="F")
-    np.concatenate(blocks, out=rows)
-    blocks.clear()
-    return _subspace.fold_rows(rows)
+    return fold(filled) if filled > top else rows[:top].copy()
 
 
 def _equilibrated_svd(R11):
@@ -233,7 +265,8 @@ def certify(data):
     """
     D = data.matrix
     length = _CHUNK_WIDTHS * len(D)
-    R = _fold(((D[:, k : k + length],) for k in range(0, data.num_columns, length)), len(D))
+    chunks = ((D[:, k : k + length],) for k in range(0, data.num_columns, length))
+    R = _fold(chunks, len(D), length)
     s = _equilibrated_svd(R)[2]
     return _certificate(s, data.num_columns, data.required_columns)
 
@@ -317,7 +350,7 @@ def infer_operators(X, Y, U, degree, source="projected"):
             data = assemble_data_matrix(X[:, cut], None if U is None else U[:, cut], degree)
             yield data.matrix, Y[:, cut]
 
-    R = _fold(chunks(), r + n)
+    R = _fold(chunks(), r + n, length)
     R11, R12, R22 = R[:r, :r], R[:r, r:], R[r:, r:]
     w, U_s, s, Wt = _equilibrated_svd(R11)
     certificate = _certificate(s, K, r)
@@ -343,8 +376,9 @@ def snapshot_basis(models, starts, input_sets, nbar, snapshot_stride=1):
     """Snapshot-and-POD stage: simulate, then cut a POD basis of dimension nbar.
 
     Model j is simulated from starts[j] once per input trajectory in
-    input_sets[j] (all of one length), all inputs side by side as one block
-    stepped in windows of `fom._windows`.  The snapshot matrix S of every
+    input_sets[j] (all inputs of all models of one length), every input of
+    every model side by side as one block (`fom._stacked`) stepped in
+    windows of `fom._windows`.  The snapshot matrix S of every
     `snapshot_stride`-th column of x_0 .. x_{K-1} is never formed: each
     window's columns become rows of S^T that `_fold` folds into the
     triangular factor R of the rows so far.  Since S = R^T Q^T with
@@ -355,42 +389,41 @@ def snapshot_basis(models, starts, input_sets, nbar, snapshot_stride=1):
     Returns (basis, state_scales) where state_scales[j] is the largest state
     norm max_k ||x_k|| over the trajectories of model j.  A diverged
     trajectory raises `fom.NumericalFailure` at the window it diverges in,
-    naming the earliest diverged step of its block, before any POD.
+    naming the earliest diverged step of the block, before any POD.
     """
     N = models[0].state_dim
-    state_scales = np.zeros(len(models))
+    starts = [[x0] * len(inputs) for x0, inputs in zip(starts, input_sets)]
+    run = _fom._stacked(models, starts, input_sets)
+    sq_scales = np.zeros(run[1].shape[1])  # the largest squared state norm of each column
 
     def snapshot_rows():
-        for j, (model, x0, inputs) in enumerate(zip(models, starts, input_sets)):
-            X0 = np.column_stack([x0] * len(inputs))
-            run = _fom._checked(model, X0, _fom._input_block(inputs), None)
-            for k, states, diverged_at in _fom._windows(model.block_step, *run):
-                _fom._fail_if_diverged(diverged_at)
-                # squared norms of the columns without a temporary of the window's size
-                sq_norms = np.einsum("ikl,ikl->kl", states, states)
-                state_scales[j] = max(state_scales[j], float(np.sqrt(sq_norms.max())))
-                # the strided columns of x_k .. x_{k+w-1}; x_{k+w} starts the next window
-                yield (states[:, -k % snapshot_stride : -1 : snapshot_stride].reshape(N, -1),)
-            del states  # before the next model's window buffer is made
+        for k, states, diverged_at in _fom._windows(*run):
+            _fom._fail_if_diverged(diverged_at)
+            # squared norms of the columns without a temporary of the window's size
+            sq_norms = np.einsum("ikl,ikl->kl", states, states)
+            np.maximum(sq_scales, sq_norms.max(axis=0), out=sq_scales)
+            # the strided columns of x_k .. x_{k+w-1}; x_{k+w} starts the next window
+            yield (states[:, -k % snapshot_stride : -1 : snapshot_stride].reshape(N, -1),)
 
     R = _fold(snapshot_rows(), N)
-    return _subspace.pod_basis(R.T, nbar), state_scales
+    first = np.cumsum([0] + [len(inputs) for inputs in input_sets[:-1]])
+    return _subspace.pod_basis(R.T, nbar), np.sqrt(np.maximum.reduceat(sq_scales, first))
 
 
 def fit_reprojected(models, basis, starts, input_sets, reproj_horizon=None):
     """Re-projected fit stage: one least-squares fit per model.
 
-    Model j is sampled with re-projection from starts[j] under input_sets[j]
-    (see `reprojected_data`) and its operators are fitted by
-    `infer_operators`, which folds the data chunk by chunk and never forms
-    the data matrix.
+    Every model is sampled with re-projection from its starts[j] under
+    input_sets[j], all side by side as one block (see `reprojected_data`),
+    and the operators of each are fitted by `infer_operators`, which folds
+    the data chunk by chunk and never forms the data matrix.
 
     Returns (models, residuals, certificates), one each per model; each
     learned model carries its full model's parameter.
     """
     learned, residuals, certificates = [], [], []
-    for model, x0, inputs in zip(models, starts, input_sets):
-        X, Y, U = reprojected_data(model, basis, x0, inputs, reproj_horizon)
+    data = reprojected_data(models, basis, starts, input_sets, reproj_horizon)
+    for model, (X, Y, U) in zip(models, data):
         fitted, residual, certificate = infer_operators(X, Y, U, model.degree, "re-projected")
         learned.append(replace(fitted, parameter=model.parameter))
         residuals.append(residual)
@@ -415,8 +448,10 @@ def learn_with_reprojection(
     each (parameter, input) pair is then re-sampled with re-projection
     (optionally only for the first `reproj_horizon` steps, which is cheaper)
     and the per-parameter concatenated data feed one least-squares problem
-    each.  An initial condition is one state or one start per piece; the
-    snapshot simulations use the first.
+    each.  Each stage steps every parameter side by side, so the input
+    trajectories of all parameters share one length.  An initial condition
+    is one state or one start per piece; the snapshot simulations use the
+    first.
 
     `snapshot_stride` thins the snapshot matrix column-wise before the POD.
     When `basis_input_sets` is given, those inputs drive the basis-building
@@ -451,26 +486,32 @@ def learn_with_reprojection(
     return basis, learned, certificates
 
 
-def reprojected_data(model, basis, x0, inputs, reproj_horizon=None):
-    """Re-projected regression data for one parameter: (X, Y, U).
+def reprojected_data(models, basis, starts, input_sets, reproj_horizon=None):
+    """Re-projected regression data (X, Y, U) of each model, yielded in turn.
 
-    Samples one re-projected piece per input trajectory (optionally capped at
-    `reproj_horizon` steps; the capped inputs must share their length), all
-    side by side as one block of `reproject_sample` (whose states have only
-    nbar rows), and concatenates them (`concat_trajectories`).  A piece that
-    diverges is cut at its own `diverged_at`, as its single run would be;
-    the others keep all their steps.  `x0` is either one initial condition
-    shared by all pieces or a sequence with one start per piece (each must
-    lie in span(V); varied starts enrich the data when trajectories from a
-    single start leave monomial directions unexplored).
+    Samples one re-projected piece per input trajectory of input_sets[j] for
+    model j (optionally capped at `reproj_horizon` steps; the capped inputs
+    of all models must share their length), all pieces of all models side
+    by side as one block of `fom._stacked` whose states have only nbar rows,
+    and concatenates the pieces of each model (`concat_trajectories`).  A
+    piece that diverges is cut at its own `diverged_at`, as its single run
+    would be; the others keep all their steps.  starts[j] is either one
+    initial condition shared by the pieces of model j or a sequence with
+    one start per piece (each must lie in span(V); varied starts enrich the
+    data when trajectories from a single start leave monomial directions
+    unexplored).
     """
-    starts = list(x0) if isinstance(x0, (list, tuple)) else [x0] * len(inputs)
-    if len(starts) != len(inputs):
-        raise ValueError("one initial condition per input trajectory required")
-    U = _fom._input_block(inputs, reproj_horizon)
-    bar = reproject_sample(model, basis, np.column_stack(starts), U)
-    ends = bar.diverged_at if bar.diverged else np.zeros(len(inputs), dtype=int)
-    pieces = [
-        (bar.states[:, : end or None, l], U[:, :, l]) for l, end in enumerate(ends)
+    starts = [
+        list(x0) if isinstance(x0, (list, tuple)) else [x0] * len(inputs)
+        for x0, inputs in zip(starts, input_sets)
     ]
-    return concat_trajectories(pieces)
+    step, x0, U, num_steps = _fom._stacked(models, starts, input_sets, reproj_horizon)
+    bar = _reprojected(step, basis, x0, U, num_steps)
+    ends = bar.diverged_at if bar.diverged else np.zeros(x0.shape[1], dtype=int)
+    first = 0
+    for inputs in input_sets:
+        cols = range(first, first + len(inputs))
+        first += len(inputs)
+        yield concat_trajectories(
+            [(bar.states[:, : ends[l] or None, l], U[:, :, l]) for l in cols]
+        )

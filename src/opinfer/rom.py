@@ -1,6 +1,7 @@
 """Reduced polynomial models: Galerkin projection, simulation, truncation and
 parameter interpolation."""
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,53 +131,70 @@ def reduced_simulate(model, z0, U=None, num_steps=None):
     return _fom._run(model.step, z0, U, num_steps)
 
 
-def simulate_truncations(models, dims, U, num_steps):
-    """Every model of `models` truncated to every n of `dims`, stepped from
-    zero as one stack in one time loop.
+def simulate_truncations(groups, dims, num_steps):
+    """Every model of every group truncated to every n of `dims`, stepped
+    from zero as one stack in one time loop.
 
-    Each truncated model is padded to n_max = max(dims) modes: its rows from
-    n on are zero, and so are its columns outside `truncation_mask(n_max, i,
-    n)`.  The M = len(dims) * len(models) padded operators are stacked in the
-    order (n, model), and their states side by side as an (n_max, M * m)
-    block, m being the number of input columns U (p, K, m) holds; the inputs
-    broadcast over the models.  Returns the windows (k, states, diverged_at)
-    of `fom._windows`, states (n_max, w+1, M * m): columns s*m .. s*m + m-1
-    are stack entry s, whose trailing modes stay exactly zero, so that its
-    leading n rows are the run of `truncate(model, n)`.  A diverged entry
-    only freezes its own columns.
+    `groups` holds pairs (models, U): each model of a group runs on each of
+    the m input columns of its U (p, K, m), or on one column without inputs
+    (U None).  The stack entries, one per (n, group, model) in that order,
+    take m columns each, their own inputs, side by side in an (n_max, C)
+    block of states, n_max = max(dims): C is len(dims) times the sum of
+    len(models) * m over the groups.  An entry steps `truncate(model, n)`
+    on the leading n rows of its columns and leaves the rows from n on
+    exactly zero.  Each step forms the monomials and inputs [z; z^2; ..; u]
+    of every column at n_max once; the consecutive entries of one n and one
+    width take the rows of their own monomials (`truncation_mask`) and step
+    as one batched product with their `stacked` operators [A_1 .. A_ell B].
+    Returns the windows (k, states, diverged_at) of `fom._windows`, states
+    (n_max, w+1, C).  A diverged entry only freezes its own columns.
     """
-    template = models[0]
+    template = groups[0][0][0]
+    models = [model for group, _ in groups for model in group]
     if any((mod.degree, mod.input_dim) != (template.degree, template.input_dim) for mod in models):
         raise ValueError("models disagree in degree or input dimension")
-    U, num_steps = _fom._input_columns(template, U, num_steps)
-    if U is not None and U.ndim != 3:
-        raise ValueError(f"inputs must have shape (p, K, m), got {U.shape}")
-    n_max, M = max(dims), len(dims) * len(models)
-    m = 1 if U is None else U.shape[2]
-    operators = [
-        np.zeros((M, n_max, compressed_dim(n_max, i))) for i in range(1, template.degree + 1)
-    ]
-    B = None if U is None else np.zeros((M, n_max, template.input_dim))
-    for s, small in enumerate(truncate(model, n) for n in dims for model in models):
-        n = small.reduced_dim
-        for i, (A, A_n) in enumerate(zip(operators, small.operators), start=1):
-            A[s, :n][:, truncation_mask(n_max, i, n)] = A_n
-        if B is not None:
-            B[s, :n] = small.input_matrix
+    inputs = []
+    for _, U in groups:
+        U = _fom._input_columns(template, U, num_steps)[0]
+        if U is not None and U.ndim != 3:
+            raise ValueError(f"inputs must have shape (p, K, m), got {U.shape}")
+        inputs.append(None if U is None else U[:, :num_steps])
+    n_max, degree = max(dims), template.degree
+    widths = [1 if U is None else U.shape[2] for U in inputs]
+    firsts = np.cumsum([0, *widths])  # the first input column of each group
 
-    def per_model(block):
-        """Column block (rows, M*m) as one (rows, m) view per stack entry."""
-        return block.reshape(-1, M, m).transpose(1, 0, 2)
+    # runs of the entries of one n and of consecutive groups of one width m:
+    # (n, the rows of their monomials and inputs, their stacked operators,
+    # their state columns, m), and the input column of every state column
+    offsets = np.cumsum([0] + [compressed_dim(n_max, i) for i in range(1, degree + 1)])
+    runs, input_cols, col = [], [], 0
+    for n in dims:
+        monomials = [
+            start + np.flatnonzero(truncation_mask(n_max, i, n))
+            for i, start in enumerate(offsets[:-1], start=1)
+        ]
+        rows = np.concatenate(monomials + [offsets[-1] + np.arange(template.input_dim)])
+        for m, members in itertools.groupby(range(len(groups)), key=widths.__getitem__):
+            members = list(members)
+            small = [truncate(model, n) for g in members for model in groups[g][0]]
+            cols = slice(col, col + len(small) * m)
+            runs.append((n, rows, np.stack([model.stacked() for model in small]), cols, m))
+            input_cols += [np.tile(firsts[g] + np.arange(m), len(groups[g][0])) for g in members]
+            col += len(small) * m
+    input_cols = np.concatenate(input_cols)
+    U = None if template.input_dim == 0 else np.concatenate(inputs, axis=2)
 
     def step(z, u):
-        out = np.matmul(operators[0], per_model(z))
-        for i in range(2, template.degree + 1):
-            out += np.matmul(operators[i - 1], per_model(compressed_power_matrix(z, i)))
-        if B is not None:
-            out += np.matmul(B, u)
-        return out.transpose(1, 0, 2).reshape(n_max, M * m)
+        monomials = [z] + [compressed_power_matrix(z, i) for i in range(2, degree + 1)]
+        data = np.concatenate(monomials + ([] if u is None else [u[:, input_cols]]))
+        out = np.zeros_like(z)
+        for n, rows, operators, cols, m in runs:
+            # one (rows, m) block per entry
+            own = data[rows, cols].reshape(len(rows), -1, m).transpose(1, 0, 2)
+            out[:n, cols] = np.matmul(operators, own).transpose(1, 0, 2).reshape(n, -1)
+        return out
 
-    return _fom._windows(step, np.zeros((n_max, M * m)), U, num_steps)
+    return _fom._windows(step, np.zeros((n_max, col)), U, num_steps)
 
 
 def truncate(model, new_dim):

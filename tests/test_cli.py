@@ -238,6 +238,26 @@ def test_main_names_the_earliest_diverged_step_of_a_block(tmp_path, capsys, monk
     assert err == f"numerical failure: full model diverged at step {second}\n"
 
 
+def test_test_parameters_outside_the_training_range_exit_two(tmp_path, capsys, monkeypatch):
+    """Interpolated test models refuse to extrapolate, so a config whose
+    test parameters leave the range of several training parameters exits 2
+    with one stderr line before anything runs."""
+    path = _write_config(
+        tmp_path, benchmark="burgers", param_values=[0.3, 0.5], num_test_params=3
+    )
+    monkeypatch.setattr(cli, "run_study", lambda config: pytest.fail("the study ran"))
+    assert cli.main(["run", "--config", path, "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: test parameters [0.1, 0.55, 1.0] lie outside")
+    assert err.count("\n") == 1
+    # one training parameter is not interpolated; inside the range is fine
+    for values, count in (([0.3], 3), ([0.1, 0.5, 1.0], 3)):
+        path = _write_config(
+            tmp_path, benchmark="burgers", param_values=values, num_test_params=count
+        )
+        assert cli.load_config(path).param_values == values
+
+
 def test_main_with_an_unusable_out_exits_two_before_the_study(tmp_path, capsys, monkeypatch):
     """An --out that names a file, or a path under a file, cannot be made:
     exit 2 with one stderr line, before the study runs.  An output file
@@ -397,11 +417,11 @@ def test_evaluate_in_piece_groups_matches_single_runs(monkeypatch):
     assert [e[0] for e in expected] == [False] * 4 + [True] + [False] * 2 + [True, False]
 
     def evaluate():
-        rows = cli._evaluate(config, "train", None, models, (None,) * 3, pieces, inputs)
+        rows = cli._evaluate(config, [("train", None, models, (None,) * 3, pieces, inputs)])
         return [(r["diverged"], r["avg_rel_error"], r["traj_diff"]) for r in rows]
 
     def windows():
-        return len(list(rom.simulate_truncations(models, dims, np.stack(inputs, axis=-1), K)))
+        return len(list(rom.simulate_truncations([(models, np.stack(inputs, axis=-1))], dims, K)))
 
     assert windows() == 1
     whole = evaluate()
@@ -414,6 +434,40 @@ def test_evaluate_in_piece_groups_matches_single_runs(monkeypatch):
         assert [r[0] for r in rows] == [e[0] for e in expected]
         for r, e in zip(rows, expected):
             assert np.allclose(r[1:], e[1:], rtol=1e-10, atol=0.0, equal_nan=True)
+
+
+def test_evaluate_over_several_groups_matches_one_call_per_group():
+    """One stack over several (split, mu) groups of different piece counts
+    gives the rows of one `_evaluate` per group, in the same order, with the
+    same diverged flags; a model that diverges in one group only is
+    flagged there."""
+    config = cli.default_config("custom")
+    config.num_steps, config.nbar, config.truncation_dims = 50, 4, [2, 4]
+    K = config.num_steps
+    basis = subspace.Basis(np.eye(5)[:, :4])
+    rng = np.random.default_rng(41)
+    groups = []
+    for g, (split, count) in enumerate((("train", 3), ("train", 2), ("test", 1), ("test", 1))):
+        full = [fom.make_random_polynomial(5, 2, input_dim=2, seed=4 * g + j) for j in range(3)]
+        models = [rom.galerkin_project(model, basis) for model in full]
+        scale = 60.0 if g == 2 else 1.0  # blows the learned models of one group up
+        models[1:] = [replace(m, input_matrix=scale * m.input_matrix) for m in models[1:]]
+        inputs = [rng.uniform(-1.0, 1.0, (2, K)) for _ in range(count)]
+        pieces = [diagnostics.project_piece(basis, rng.normal(size=(5, K + 1)), K) for _ in inputs]
+        groups.append((split, 0.1 * g, models, (None, 0.5, 0.25), pieces, inputs))
+
+    def values(rows):
+        keys = ("split", "mu", "n", "method", "diverged", "residual")
+        return [tuple(row[key] for key in keys) for row in rows]
+
+    stacked = cli._evaluate(config, groups)
+    single = [row for group in groups for row in cli._evaluate(config, [group])]
+    assert values(stacked) == values(single)
+    diverged = {(r["mu"], r["method"]) for r in stacked if r["diverged"]}
+    assert diverged and {mu for mu, _ in diverged} == {0.2}
+    for a, b in zip(stacked, single):
+        got, expected = ([row["avg_rel_error"], row["traj_diff"]] for row in (a, b))
+        assert np.allclose(got, expected, rtol=1e-12, atol=0.0, equal_nan=True)
 
 
 def _traced_peak(fn):
@@ -445,11 +499,11 @@ def test_passes_over_full_states_hold_one_window_whatever_k(monkeypatch):
             lambda: opinf.snapshot_basis([model], [x0], [inputs], nbar)
         )
         pieces, pieces_peak = _traced_peak(
-            lambda: cli._project_pieces(model, [x0] * m, inputs, basis, K)
+            lambda: cli._project_pieces([model], [[x0] * m], [inputs], basis, K)[0]
         )
         models = (rom.galerkin_project(model, basis),) * 3
         _, evaluate_peak = _traced_peak(
-            lambda: cli._evaluate(config, "train", 0.1, models, (None,) * 3, pieces, inputs)
+            lambda: cli._evaluate(config, [("train", 0.1, models, (None,) * 3, pieces, inputs)])
         )
         peaks.append(np.array([snapshot_peak, pieces_peak, evaluate_peak]))
     added = N * 2000 * m * 8
@@ -501,9 +555,10 @@ def test_parametric_pipeline_byte_identical(tmp_path):
 
 def test_pipeline_simulates_each_training_input_twice(tmp_path, monkeypatch):
     # Once for the snapshots and once for the plain fit and the training
-    # evaluation together; once per test parameter.  Each pass steps the
-    # inputs of a parameter as one block of starts (N, m): m trajectories.
-    # Full-model runs are the stepping loops whose starts have N rows.
+    # evaluation together; once per test parameter, with the training
+    # evaluation.  Each pass steps every input of every parameter as one
+    # block of starts (N, m): m trajectories.  Full-model runs are the
+    # stepping loops whose starts have N rows.
     calls = []
     windows = cli.fom._windows
     config = _small_burgers_config(tmp_path)
@@ -516,7 +571,7 @@ def test_pipeline_simulates_each_training_input_twice(tmp_path, monkeypatch):
     monkeypatch.setattr(cli.fom, "_windows", counting_windows)
     cli.run_study(config)
     assert sum(calls) == 2 * 3 * 2 + 3  # 3 parameters x 2 inputs, 3 test parameters
-    assert len(calls) == 2 * 3 + 3  # one block per pass and parameter
+    assert len(calls) == 2  # one block for the snapshots, one for the evaluation pieces
 
 
 def test_learn_with_reprojection_matches_the_certify_pipeline(tmp_path):

@@ -380,3 +380,73 @@ def test_block_column_diverged_in_an_earlier_window_stays_frozen(monkeypatch):
     assert later == 7  # the windows at k = 14, 21, ..., 56
     states, diverged_at = _joined(fom._windows(model.block_step, np.zeros((6, 2)), U, 60))
     assert np.array_equal(states, expected.states) and list(diverged_at) == [0, 12]
+
+
+def _mixed_block(models, counts, rng, K, scale):
+    """A block of counts[j] random starts and inputs for models[j] in turn,
+    its `fom._run`, and the per-model (starts, inputs) it was made of."""
+    per_model = [
+        (
+            scale * rng.normal(size=(model.state_dim, m)),
+            rng.uniform(-1.0, 1.0, (model.input_dim, K, m)),
+        )
+        for model, m in zip(models, counts)
+    ]
+    starts = [list(X0.T) for X0, _ in per_model]
+    inputs = [[U[:, :, l] for l in range(U.shape[2])] for _, U in per_model]
+    block = fom._run(*fom._stacked(models, starts, inputs))
+    return block, per_model
+
+
+@pytest.mark.parametrize(
+    "build, mus, tol",
+    [
+        (lambda mu: fom.make_burgers(mu, num_nodes=32), (0.3, 1.0, 0.6), 0.0),
+        # no shared parameter row: each model steps its own column slice
+        (lambda mu: fom.make_random_polynomial(7, 2, input_dim=2, seed=mu), (1, 2, 3), 0.0),
+        (lambda mu: fom.make_diffusion_reaction_2d(mu, grid_points_per_dim=8), (1.5, 1.0, 1.2),
+         1e-14),
+    ],
+)
+def test_mixed_parameter_block_equals_per_parameter_simulate(build, mus, tol):
+    """One block of three parameters' columns steps like each parameter's
+    own `simulate`: bitwise for Burgers' mu row and for column slices, to
+    rounding for reaction2d's coefficient rows."""
+    models = [build(mu) for mu in mus]
+    counts = (2, 1, 3)
+    block, per_model = _mixed_block(models, counts, np.random.default_rng(26), 30, 0.1)
+    assert block.states.shape == (models[0].state_dim, 31, 6) and not block.diverged
+    first = 0
+    for model, (X0, U), m in zip(models, per_model, counts):
+        single = fom.simulate(model, X0, U).states
+        mixed = block.states[:, :, first : first + m]
+        assert np.abs(mixed - single).max() <= tol * np.abs(single).max()
+        first += m
+
+
+def test_mixed_block_divergence_freezes_only_its_own_columns():
+    """Under the same time step, Burgers with a large mu is unstable and
+    with a small one is not: the unstable parameter's columns freeze at
+    their own last finite states, the stable ones step on bitwise."""
+    models = [fom.make_burgers(mu, dt=4e-3, num_nodes=32) for mu in (0.9, 0.2)]
+    counts = (2, 2)
+    block, per_model = _mixed_block(models, counts, np.random.default_rng(27), 80, 0.01)
+    singles = [fom.simulate(model, X0, U) for model, (X0, U) in zip(models, per_model)]
+    assert singles[1].diverged_at is None and np.all(singles[0].diverged_at > 0)
+    assert list(block.diverged_at) == list(singles[0].diverged_at) + [0, 0]
+    assert np.array_equal(block.states[:, :, 2:], singles[1].states)
+    for l, end in enumerate(singles[0].diverged_at):
+        assert np.array_equal(block.states[:, :end, l], singles[0].states[:, :end, l])
+        assert np.all(block.states[:, end:, l] == block.states[:, end - 1, l : l + 1])
+
+
+def test_mixed_block_failure_names_the_earliest_step_of_any_parameter():
+    """The full-model passes raise NumericalFailure at the earliest diverged
+    step of the whole block, here in the second parameter's columns."""
+    models = [fom.make_random_polynomial(6, 2, input_dim=1, seed=2 + j) for j in range(2)]
+    inputs = [[np.full((1, 60), 0.1)], [np.full((1, 60), a) for a in (0.2, 100.0)]]
+    block = fom._run(*fom._stacked(models, [[np.zeros(6)]] * 1 + [[np.zeros(6)] * 2], inputs))
+    single = fom.simulate(models[1], np.zeros(6), inputs[1][1]).diverged_at
+    assert list(block.diverged_at) == [0, 0, single]
+    with pytest.raises(fom.NumericalFailure, match=f"diverged at step {single}$"):
+        fom._fail_if_diverged(block.diverged_at)

@@ -354,7 +354,7 @@ def test_reprojected_data_cuts_a_diverging_piece_like_its_single_run():
     singles = [opinf.reproject_sample(model, basis, x0, U) for x0, U in zip(starts, inputs)]
     assert [s.diverged for s in singles] == [False, True, False]
     assert 1 < singles[1].diverged_at < 40
-    X, Y, U = opinf.reprojected_data(model, basis, starts, inputs)
+    (X, Y, U), = opinf.reprojected_data([model], basis, [starts], [inputs])
     data = opinf.assemble_data_matrix(X, U, model.degree, source="re-projected")
     X_ref, Y_ref, U_ref = opinf.concat_trajectories(list(zip(singles, inputs)))
     ref = opinf.assemble_data_matrix(X_ref, U_ref, model.degree, source="re-projected")
@@ -453,7 +453,7 @@ def test_streamed_fit_over_many_chunks_of_ill_conditioned_reprojected_data(monke
     inputs = [fom.random_input_trajectory(1000, 1, 0.0, 10.0, seed=l) for l in range(2)]
     x0 = np.zeros(32)
     basis, _ = opinf.snapshot_basis([model], [x0], [inputs], 6)
-    X, Y, U = opinf.reprojected_data(model, basis, x0, inputs)
+    (X, Y, U), = opinf.reprojected_data([model], basis, [x0], [inputs])
     fitted, residual, certificate, unrefined = _fits(monkeypatch, X, Y, U, model.degree)
 
     assert certificate.satisfied and certificate.condition_number > 1e10
@@ -511,3 +511,31 @@ def test_streamed_fit_memory_does_not_grow_with_columns():
             tracemalloc.stop()
     assert peaks[1] <= peaks[0]
     assert peaks[0] < 84 * 20_000 * 8 / 4  # far below one data matrix
+
+
+def test_fold_holds_r_one_buffer_and_one_chunk(monkeypatch):
+    """`_fold` of N-wide rows that come in chunks smaller than N, so that
+    folds split them: its tracemalloc peak stays within R, its one buffer of
+    R and N waiting rows, and one chunk, plus the QR's small workspace (a
+    few percent at these sizes); its R has the Gram matrix of all rows."""
+    N, rows, count = 400, 300, 12
+    # windows of N rows of N doubles: N rows wait under R
+    monkeypatch.setattr(fom, "_WINDOW_BYTES", 8 * N * N)
+
+    def chunks():
+        rng = np.random.default_rng(70)
+        for _ in range(count):
+            yield (rng.standard_normal((N, rows)),)
+
+    tracemalloc.start()
+    try:
+        R = opinf._fold(chunks(), N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = 8 * (N * N + 2 * N * N + N * rows)
+    assert peak <= 1.1 * held, (peak, held)
+    A = np.hstack([part for part, in chunks()]).T
+    gram = A.T @ A
+    assert R.shape == (N, N)
+    assert np.abs(R.T @ R - gram).max() <= 1e-13 * np.abs(gram).max()

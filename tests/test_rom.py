@@ -180,10 +180,10 @@ def test_reduced_simulate_rejects_mismatched_blocks():
 
 
 def _stack_and_single_runs(models, dims, U, num_steps):
-    """`simulate_truncations` and, per stack entry (n, model), the pair of n
-    and the single runs of `reduced_simulate(truncate(model, n), ...)` from
-    zero, one per piece."""
-    (_, states, diverged_at), = rom.simulate_truncations(models, dims, U, num_steps)
+    """`simulate_truncations` of one group, all models on the inputs U, and
+    per stack entry (n, model), the pair of n and the single runs of
+    `reduced_simulate(truncate(model, n), ...)` from zero, one per piece."""
+    (_, states, diverged_at), = rom.simulate_truncations([(models, U)], dims, num_steps)
     stack = fom.Trajectory(states, diverged_at)  # one window at these sizes
     m = 1 if U is None else U.shape[2]
     singles = [
@@ -251,6 +251,38 @@ def test_simulate_truncations_diverged_entry_leaves_the_others():
                 diff = np.abs(cols[:n, :, s, l] - single.states).max()
                 assert diff <= 1e-12 * (1.0 + np.abs(single.states).max())
                 assert np.all(cols[n:, :, s, l] == 0.0)
+
+
+def test_simulate_truncations_with_inputs_per_group_equals_single_runs():
+    """Groups of different widths in one stack: each truncated model runs on
+    its own group's input columns, like its `reduced_simulate` on each."""
+    basis = subspace.Basis(np.eye(5)[:, :4])
+    models = [
+        rom.galerkin_project(fom.make_random_polynomial(5, 2, input_dim=2, seed=50 + j), basis)
+        for j in range(3)
+    ]
+    dims, K = [1, 3, 4], 30
+    rng = np.random.default_rng(51)
+    # widths 2, 1, 1, 2: three runs of consecutive groups of one width per n
+    groups = [
+        (models[:2], rng.uniform(-1.0, 1.0, (2, K, 2))),
+        (models[2:], rng.uniform(-1.0, 1.0, (2, K, 1))),
+        (models[:1], rng.uniform(-1.0, 1.0, (2, K, 1))),
+        (models[1:], rng.uniform(-1.0, 1.0, (2, K, 2))),
+    ]
+    (_, states, diverged_at), = rom.simulate_truncations(groups, dims, K)
+    assert diverged_at is None
+    col = 0
+    for n in dims:
+        for group, U in groups:
+            for model in group:
+                for l in range(U.shape[2]):
+                    single = rom.reduced_simulate(rom.truncate(model, n), np.zeros(n), U[:, :, l])
+                    scale = 1.0 + np.abs(single.states).max()
+                    assert np.abs(states[:n, :, col] - single.states).max() <= 1e-12 * scale
+                    assert np.all(states[n:, :, col] == 0.0)
+                    col += 1
+    assert col == states.shape[2] == len(dims) * (2 * 2 + 1 + 1 + 2 * 2)
 
 
 def test_truncate_identity_and_shapes():
