@@ -58,10 +58,10 @@ print(f"  split reassembles the projected trajectory to {gap:.2e}")
 
 # Operator inference on the projected data absorbs the memory term into the
 # fitted operator; on re-projected data there is nothing to absorb.
-plain, plain_residual, _ = infer_operators(projected[:, :K], projected[:, 1:], None, 1)
+plain, plain_residual, _ = infer_operators([(projected, None)], 1)
 
 bar = reproject_sample(model, basis, x0, num_steps=K)
-reproj, reproj_residual, certificate = infer_operators(bar.X, bar.Y, None, 1, "re-projected")
+reproj, reproj_residual, certificate = infer_operators([(bar.states, None)], 1, "re-projected")
 
 print("\noperator fits against the intrusive (Galerkin) operator:")
 ref = intrusive.operators[0]

@@ -15,7 +15,6 @@ Run:  python3 demos/02_exact_recovery_polynomial.py
 import numpy as np
 
 from opinfer import (
-    concat_trajectories,
     galerkin_project,
     infer_operators,
     lift,
@@ -44,8 +43,8 @@ required = sum(op.shape[1] for op in intrusive.operators) + 1
 print(f"unknowns per reduced equation: {required} (needs K >= {required} data columns)")
 
 # Re-projected pieces from several short runs with different inputs and
-# different start points inside the subspace; concatenation keeps the
-# one-step pairing intact.
+# different start points inside the subspace; the fit pairs each state with
+# the next one of its own piece only.
 rng = np.random.default_rng(SEED)
 pieces = []
 for l in range(8):
@@ -53,9 +52,8 @@ for l in range(8):
     x0 = lift(basis, z0[:, None]).ravel()
     U = random_input_trajectory(8, 1, -0.5, 0.5, seed=200 + l)
     bar = reproject_sample(model, basis, x0, U)
-    pieces.append((bar, U))
-X, Y, U_all = concat_trajectories(pieces)
-learned, residual, certificate = infer_operators(X, Y, U_all, model.degree, "re-projected")
+    pieces.append((bar.states, U))
+learned, residual, certificate = infer_operators(pieces, model.degree, "re-projected")
 
 print(f"\ncertificate: K = {certificate.num_columns}, rank = {certificate.numerical_rank}"
       f"/{certificate.required_columns}, cond(Ds^T Ds) = {certificate.condition_number:.2e},"

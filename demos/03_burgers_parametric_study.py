@@ -25,7 +25,7 @@ from opinfer import (
     simulate,
     truncate,
 )
-from opinfer.opinf import concat_trajectories, infer_operators
+from opinfer.opinf import infer_operators
 from opinfer.subspace import project
 
 N, K, DT = 48, 1500, 2e-4
@@ -56,8 +56,7 @@ for j, mu in enumerate(params):
     for U in inputs[j]:
         traj = simulate(model, x0, U)
         pieces.append((project(basis, traj.states), U))
-    X, Y, U_all = concat_trajectories(pieces)
-    fitted, _, _ = infer_operators(X, Y, U_all, 2)
+    fitted, _, _ = infer_operators(pieces, 2)
     plain_models.append(fitted)
 
 # evaluate on a parameter between training nodes, constant input.

@@ -3,10 +3,11 @@
 
 Recovery of the intrusive operators from re-projected data holds exactly when
 (a) the data has at least p + sum_i n_i columns and (b) the data matrix has
-full row rank.  Both are cheap to verify, which is what `certify` does.  This
-script shows a certificate flipping from unsatisfied to satisfied as data
-accumulates, and the practical caveat: the condition number of Ds^T Ds grows
-with the reduced dimension, amplifying round-off in the recovered operators.
+full row rank.  Both are cheap to verify: every fit returns its certificate
+(`certify` gives the same for an explicit data matrix).  This script shows a
+certificate flipping from unsatisfied to satisfied as data accumulates, and
+the practical caveat: the condition number of Ds^T Ds grows with the reduced
+dimension, amplifying round-off in the recovered operators.
 Ds = diag(1/w) D is the data matrix with each row scaled to unit norm; the
 certificates decide rank on it, so the scale of the rows does not matter.
 Neither `certify` nor `infer_operators` forms Ds: the columns of D fold chunk
@@ -19,9 +20,6 @@ Run:  python3 demos/04_certificates_and_conditioning.py
 import numpy as np
 
 from opinfer import (
-    assemble_data_matrix,
-    certify,
-    concat_trajectories,
     galerkin_project,
     lift,
     make_random_polynomial,
@@ -53,14 +51,11 @@ for l in range(6):
     z0 = rng.normal(size=n)
     U = random_input_trajectory(4, 1, -0.5, 0.5, seed=50 + l)
     bar = reproject_sample(model, basis, lift(basis, z0[:, None]).ravel(), U)
-    pieces.append((bar, U))
-    X, Y, U_all = concat_trajectories(pieces)
-    data = assemble_data_matrix(X, U_all, 2, source="re-projected")
-    c = certify(data)
+    pieces.append((bar.states, U))
+    learned, residual, c = infer_operators(pieces, 2, "re-projected")
     print(f"{l + 1:>7} {c.num_columns:>5} {c.numerical_rank:>5} {c.required_columns:>9} "
           f"{str(c.satisfied):>10} {c.condition_number:>14.3e}")
 
-learned, residual, c = infer_operators(X, Y, U_all, 2, "re-projected")
 intrusive = galerkin_project(model, basis)
 rel = np.linalg.norm(learned.stacked() - intrusive.stacked()) / np.linalg.norm(
     intrusive.stacked()
@@ -76,11 +71,11 @@ print(f"{'n':>3} {'cond(Ds^T Ds)':>14} {'recovery error':>15}")
 for n in (2, 4, 6):
     V = Basis(np.eye(10)[:, :n])
     bar = reproject_sample(toy, V, x0, num_steps=100)
-    learned, _, c = infer_operators(bar.X, bar.Y, None, 1, "re-projected")
+    learned, _, c = infer_operators([(bar.states, None)], 1, "re-projected")
     ref = galerkin_project(toy, V)
     rel = np.linalg.norm(learned.operators[0] - ref.operators[0]) / np.linalg.norm(
         ref.operators[0]
     )
     print(f"{n:>3} {c.condition_number:>14.3e} {rel:>15.3e}")
 print("\nhigher condition numbers amplify round-off in the recovered operators;"
-      "\nconcatenating varied trajectories keeps the conditioning in check.")
+      "\nfitting varied pieces together keeps the conditioning in check.")

@@ -26,7 +26,6 @@ from .opinf import (
     RecoveryCertificate,
     assemble_data_matrix,
     certify,
-    concat_trajectories,
     infer_operators,
     learn_with_reprojection,
     reproject_sample,

@@ -65,7 +65,9 @@ class ExperimentConfig:
 
     `param_values` overrides the equidistant grid of `param_count` values in
     the benchmark's parameter domain.  `truncation_dims` are the reduced
-    dimensions evaluated; all must be at most `nbar`.  `reproj_horizon`
+    dimensions evaluated; all must be at most `nbar`, and `main_dim`, at
+    which the toy writes its closure and norm curves, must be one of them
+    when set.  `reproj_horizon`
     caps the length of re-projected (and matching plain-projected) training
     pieces.  `snapshot_stride` thins the POD snapshot matrix.
     """
@@ -135,6 +137,10 @@ class ExperimentConfig:
             raise ConfigError(
                 f"truncation_dims must be integers in 1..nbar={self.nbar}, "
                 f"got {self.truncation_dims!r}"
+            )
+        if self.main_dim is not None and self.main_dim not in self.truncation_dims:
+            raise ConfigError(
+                f"main_dim={self.main_dim} must be one of truncation_dims {self.truncation_dims!r}"
             )
         r = self.input_range
         if (r is not None or preset.input_range is not None) and not (
@@ -540,17 +546,6 @@ def _project_pieces(models, starts, input_sets, basis, num_steps):
     return [pieces[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
-def _plain_fit(model, projected, inputs):
-    """Operator inference from plain projected trajectories (no re-projection).
-
-    `projected` holds the projected states of each piece and `inputs` the
-    matching input trajectories.  Returns (model, residual).
-    """
-    X, Y, U_all = opinf.concat_trajectories(list(zip(projected, inputs)))
-    fitted, residual, _ = opinf.infer_operators(X, Y, U_all, model.degree, "projected")
-    return replace(fitted, parameter=model.parameter), residual
-
-
 _METHODS = ("intrusive", "opinf-reproj", "opinf-plain")
 
 
@@ -720,7 +715,10 @@ def run_study(config, certify_only=False):
     groups, plain_models = [], []
     for j, (mu, model) in enumerate(zip(params, foms)):
         projected = [proj[:, : horizon + 1] for proj, _, _ in plain_pieces[j]]
-        plain, plain_residual = _plain_fit(model, projected, reproj_inputs[j])
+        plain, plain_residual, _ = opinf.infer_operators(
+            zip(projected, reproj_inputs[j]), model.degree
+        )
+        plain = replace(plain, parameter=model.parameter)
         plain_models.append(plain)
         methods = (intrusive_models[j], reproj_models[j], plain)
         residuals = (None, reproj_residuals[j], plain_residual)
@@ -765,9 +763,9 @@ def run_toy(config):
 
         bar = opinf.reproject_sample(model, basis, x0, num_steps=K)
         model_r, resid_r, certificate = opinf.infer_operators(
-            bar.X, bar.Y, None, 1, "re-projected"
+            [(bar.states, None)], 1, "re-projected"
         )
-        model_p, resid_p, _ = opinf.infer_operators(proj[:, :K], proj[:, 1:], None, 1)
+        model_p, resid_p, _ = opinf.infer_operators([(proj, None)], 1)
 
         Z_r = rom.reduced_simulate(model_r, proj[:, 0], num_steps=K)
         Z_p = rom.reduced_simulate(model_p, proj[:, 0], num_steps=K)

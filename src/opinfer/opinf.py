@@ -5,8 +5,9 @@ projection onto the reduced space, so the sampled sequence obeys exactly the
 Markovian reduced dynamics.  Fitting operators to such data by least squares
 recovers the intrusive Galerkin operators whenever the recovery certificate
 holds: enough columns (K >= p + sum_i n_i) and a full-rank data matrix.
-The fit streams: the data matrix is built and folded one column chunk at a
-time into a triangle whose size does not depend on K (`infer_operators`).
+The fit takes the trajectory pieces and streams: the data matrix is built
+from views of the pieces and folded one column chunk at a time into a
+triangle whose size does not depend on K (`infer_operators`).
 """
 
 from dataclasses import dataclass, replace
@@ -157,37 +158,6 @@ def assemble_data_matrix(states, U, degree, source="projected"):
     )
 
 
-def concat_trajectories(pieces):
-    """Concatenate (trajectory, inputs) pieces into one (X, Y, U) data set.
-
-    Each piece is a pair (states, U) where states is a Trajectory or an
-    (n, K_j + 1) array of consecutive states and U has at least K_j input
-    columns (None for input-free systems).  The X/Y pairing is preserved per
-    piece; no transition across piece boundaries is fabricated.
-    """
-    if not pieces:
-        raise ValueError("no pieces to concatenate")
-    xs, ys, us = [], [], []
-    for states, U in pieces:
-        if isinstance(states, _fom.Trajectory):
-            states = states.states
-        states = np.asarray(states, dtype=float)
-        k = states.shape[1] - 1
-        xs.append(states[:, :-1])
-        ys.append(states[:, 1:])
-        if U is not None:
-            us.append(np.asarray(U, dtype=float)[:, :k])
-    dims = {x.shape[0] for x in xs}
-    if len(dims) != 1:
-        raise ValueError(f"pieces disagree in state dimension: {sorted(dims)}")
-    if us and len(us) != len(xs):
-        raise ValueError("either all pieces carry inputs or none do")
-    X = np.hstack(xs)
-    Y = np.hstack(ys)
-    U = np.hstack(us) if us else None
-    return X, Y, U
-
-
 def _fold(chunks, width, waiting=None):
     """Triangular factor R, shape (min(M, width), width), of the QR
     factorization of the M rows [A_1^T B_1^T ...; A_2^T B_2^T ...; ...] of
@@ -303,13 +273,21 @@ def _correction(Ot, W, s, chunks):
     return W @ ((W.T @ g) / s[:, None] ** 2)
 
 
-def infer_operators(X, Y, U, degree, source="projected"):
-    """Least-squares operator fit min ||D^T O^T - Y^T||_F for the data matrix
-    D of the states X (n, K) and inputs U (p, K) or None (see
-    `assemble_data_matrix`), without forming D.
+def infer_operators(pieces, degree, source="projected"):
+    """Least-squares operator fit min ||D^T O^T - Y^T||_F to the transitions
+    of trajectory pieces, without forming D.
 
-    The rows [D_c^T | Y_c^T] of each column chunk of _CHUNK_WIDTHS (r + n)
-    columns, with r the rows of D, fold into one (r + n)-wide triangle
+    Each piece is a pair (states, U) of consecutive states x_0 .. x_{K_l}
+    (n, K_l + 1) and their inputs (p, >= K_l), or None on every piece of an
+    input-free system.  Its K_l transitions pair x_k with x_{k+1}, so no
+    pair crosses two pieces; a one-state piece adds none.  D holds the data
+    columns of all transitions (see `assemble_data_matrix`) and Y their
+    next states.
+
+    Each piece is cut into chunks of at most _CHUNK_WIDTHS (r + n)
+    transitions, with r the rows of D; D_c is built from the view
+    states[:, a:b], Y_c is the view states[:, a+1:b+1], and the rows
+    [D_c^T | Y_c^T] fold into one (r + n)-wide triangle
     R = [R11 R12; 0 R22] (`_fold`).  The rows of D are equilibrated,
     D_s = diag(1/w) D with w the row norms, which are the column norms of
     R11, so the rank decision (RANK_TOL * sigma_1) sees the data and not the
@@ -320,35 +298,48 @@ def infer_operators(X, Y, U, degree, source="projected"):
     pass over the chunks refines it by `_correction`.  The normal equations,
     whose condition number is squared, are never solved alone.  The same
     spectrum gives the certificate, which is always attached, so a
-    rank-deficient fit comes with an unsatisfied certificate and silent bad
-    fits cannot occur.
+    rank-deficient fit (or one without transitions) comes with an
+    unsatisfied certificate and silent bad fits cannot occur.
 
     Returns (model, residual, certificate) where residual is the Frobenius
     norm of the regression misfit, sqrt(||R11 O^T - R12||^2 + ||R22||^2).
     """
     if source not in _SOURCES:
         raise ValueError(f"unknown data source {source!r}")
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    if X.ndim != 2:
-        raise ValueError(f"states must be 2-D, got shape {X.shape}")
-    if Y.shape != X.shape:
-        raise ValueError(f"Y must have shape {X.shape}, got {Y.shape}")
-    n, K = X.shape
-    p = 0
-    if U is not None:
-        U = np.asarray(U, dtype=float)
-        if U.ndim != 2 or U.shape[1] != K:
-            raise ValueError(f"states have {K} columns but U has shape {U.shape}")
-        p = U.shape[0]
+    pieces = [
+        (np.asarray(states, dtype=float), None if U is None else np.asarray(U, dtype=float))
+        for states, U in pieces
+    ]
+    if not pieces:
+        raise ValueError("no pieces to fit")
+    for states, U in pieces:
+        if states.ndim != 2 or states.shape[1] == 0:
+            raise ValueError(f"piece states must be 2-D and non-empty, got shape {states.shape}")
+        if U is not None and (U.ndim != 2 or U.shape[1] < states.shape[1] - 1):
+            raise ValueError(
+                f"a piece of {states.shape[1] - 1} transitions has inputs of shape {U.shape}"
+            )
+    dims = {(states.shape[0], None if U is None else U.shape[0]) for states, U in pieces}
+    if len(dims) != 1:
+        raise ValueError(
+            f"pieces must share one state dimension and carry inputs of one dimension "
+            f"or none, got (state, input) dimensions {dims}"
+        )
+    ((n, p),) = dims
+    p = p or 0
+    K = sum(states.shape[1] - 1 for states, _ in pieces)
     r = p + sum(compressed_dim(n, i) for i in range(1, degree + 1))
     length = _CHUNK_WIDTHS * (r + n)
 
     def chunks():
-        for k in range(0, K, length):
-            cut = slice(k, k + length)
-            data = assemble_data_matrix(X[:, cut], None if U is None else U[:, cut], degree)
-            yield data.matrix, Y[:, cut]
+        for states, U in pieces:
+            K_l = states.shape[1] - 1
+            for a in range(0, K_l, length):
+                b = min(a + length, K_l)
+                if not np.isfinite(states[:, a : b + 1]).all():
+                    raise ValueError("states must be finite")
+                data = assemble_data_matrix(states[:, a:b], None if U is None else U[:, a:b], degree)
+                yield data.matrix, states[:, a + 1 : b + 1]
 
     R = _fold(chunks(), r + n, length)
     R11, R12, R22 = R[:r, :r], R[:r, r:], R[r:, r:]
@@ -423,8 +414,8 @@ def fit_reprojected(models, basis, starts, input_sets, reproj_horizon=None):
     """
     learned, residuals, certificates = [], [], []
     data = reprojected_data(models, basis, starts, input_sets, reproj_horizon)
-    for model, (X, Y, U) in zip(models, data):
-        fitted, residual, certificate = infer_operators(X, Y, U, model.degree, "re-projected")
+    for model, pieces in zip(models, data):
+        fitted, residual, certificate = infer_operators(pieces, model.degree, "re-projected")
         learned.append(replace(fitted, parameter=model.parameter))
         residuals.append(residual)
         certificates.append(certificate)
@@ -447,11 +438,10 @@ def learn_with_reprojection(
     and the POD basis of dimension `nbar` is cut from all simulated states;
     each (parameter, input) pair is then re-sampled with re-projection
     (optionally only for the first `reproj_horizon` steps, which is cheaper)
-    and the per-parameter concatenated data feed one least-squares problem
-    each.  Each stage steps every parameter side by side, so the input
-    trajectories of all parameters share one length.  An initial condition
-    is one state or one start per piece; the snapshot simulations use the
-    first.
+    and the pieces of each parameter feed one least-squares problem each.
+    Each stage steps every parameter side by side, so the input trajectories
+    of all parameters share one length.  An initial condition is one state
+    or one start per piece; the snapshot simulations use the first.
 
     `snapshot_stride` thins the snapshot matrix column-wise before the POD.
     When `basis_input_sets` is given, those inputs drive the basis-building
@@ -487,16 +477,17 @@ def learn_with_reprojection(
 
 
 def reprojected_data(models, basis, starts, input_sets, reproj_horizon=None):
-    """Re-projected regression data (X, Y, U) of each model, yielded in turn.
+    """The re-projected pieces (states, U) of each model, one list per model
+    yielded in turn: the data of `infer_operators`.
 
     Samples one re-projected piece per input trajectory of input_sets[j] for
     model j (optionally capped at `reproj_horizon` steps; the capped inputs
     of all models must share their length), all pieces of all models side
-    by side as one block of `fom._stacked` whose states have only nbar rows,
-    and concatenates the pieces of each model (`concat_trajectories`).  A
-    piece that diverges is cut at its own `diverged_at`, as its single run
-    would be; the others keep all their steps.  starts[j] is either one
-    initial condition shared by the pieces of model j or a sequence with
+    by side as one block of `fom._stacked` whose states have only nbar rows;
+    each piece's states and inputs are views of that block.  A piece that
+    diverges is cut at its own `diverged_at`, as its single run would be;
+    the others keep all their steps.  starts[j] is either one initial
+    condition shared by the pieces of model j or a sequence with
     one start per piece (each must lie in span(V); varied starts enrich the
     data when trajectories from a single start leave monomial directions
     unexplored).
@@ -512,6 +503,4 @@ def reprojected_data(models, basis, starts, input_sets, reproj_horizon=None):
     for inputs in input_sets:
         cols = range(first, first + len(inputs))
         first += len(inputs)
-        yield concat_trajectories(
-            [(bar.states[:, : ends[l] or None, l], U[:, :, l]) for l in cols]
-        )
+        yield [(bar.states[:, : ends[l] or None, l], U[:, :, l]) for l in cols]

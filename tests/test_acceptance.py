@@ -89,13 +89,12 @@ def test_criterion_2_exact_operator_recovery():
                 else None
             )
             bar = opinf.reproject_sample(model, basis, x0, U, num_steps=4)
-            return bar, U
+            return bar.states, U
 
         pieces = [sample_piece(piece) for piece in range(14)]
         for top_up in range(6):
-            X, Y, U_all = opinf.concat_trajectories(pieces)
             learned, _, certificate = opinf.infer_operators(
-                X, Y, U_all, model.degree, "re-projected"
+                pieces, model.degree, "re-projected"
             )
             if certificate.satisfied and certificate.condition_number <= 1e8:
                 break

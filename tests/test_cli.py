@@ -142,6 +142,7 @@ _BAD_CONFIG_ENTRIES = [
     ("custom", "input_range", [0, 10**400]),  # beyond the float range
     ("reaction2d", "reproj_start_kick", float("inf")),
     ("burgers", "dt", float("inf")),
+    ("toy", "main_dim", 3),  # not one of truncation_dims [2, 4, 6]
 ]
 
 
@@ -627,7 +628,7 @@ def test_certify_only_pipeline(tmp_path):
     assert report.metric_rows == []
     assert len(report.certificate_rows) == 3
     row = report.certificate_rows[0]
-    assert row["K"] == 2 * 300  # m' = 2 concatenated pieces
+    assert row["K"] == 2 * 300  # m' = 2 pieces
     assert row["required"] == 3 + 6 + 1  # n1 + n2 + p
     assert row["rank"] == row["required"]
 

@@ -12,6 +12,16 @@ def _random_basis(N, n, seed):
     return subspace.pod_basis(rng.normal(size=(N, N + n)), n)
 
 
+def _transitions(pieces):
+    """(X, Y, U): the transitions of all (states, U) pieces side by side, the
+    explicit data of the oracles."""
+    X = np.hstack([states[:, :-1] for states, _ in pieces])
+    Y = np.hstack([states[:, 1:] for states, _ in pieces])
+    if pieces[0][1] is None:
+        return X, Y, None
+    return X, Y, np.hstack([U[:, : states.shape[1] - 1] for states, U in pieces])
+
+
 def test_reproject_full_basis_equals_plain_trajectory():
     model = fom.make_random_polynomial(6, 2, input_dim=1, seed=0)
     U = fom.random_input_trajectory(30, 1, -0.5, 0.5, seed=1)
@@ -90,33 +100,58 @@ def test_assemble_rejects_column_mismatch():
         opinf.assemble_data_matrix(np.zeros((2, 5)), np.zeros((1, 4)), degree=1)
 
 
-def test_concat_trajectories():
-    t1 = np.arange(8.0).reshape(2, 4)  # K = 3
-    t2 = np.arange(10.0).reshape(2, 5)  # K = 4
-    u1 = np.ones((1, 3))
-    u2 = 2.0 * np.ones((1, 4))
-    X, Y, U = opinf.concat_trajectories([(t1, u1), (t2, u2)])
-    assert X.shape == (2, 7) and Y.shape == (2, 7) and U.shape == (1, 7)
-    assert np.array_equal(X[:, :3], t1[:, :3])
-    assert np.array_equal(Y[:, 3:], t2[:, 1:])
-    # single piece is the identity
-    X1, Y1, U1 = opinf.concat_trajectories([(t1, u1)])
-    assert np.array_equal(X1, t1[:, :-1]) and np.array_equal(Y1, t1[:, 1:])
+def test_infer_counts_the_transitions_of_each_piece():
+    # pieces of 3, 4 and 0 transitions whose inputs have spare columns: the
+    # fit sees 7 columns, and the one-state piece adds none
+    rng = np.random.default_rng(13)
+    pieces = [
+        (rng.normal(size=(2, 4)), rng.normal(size=(1, 5))),
+        (rng.normal(size=(2, 5)), rng.normal(size=(1, 6))),
+        (rng.normal(size=(2, 1)), rng.normal(size=(1, 2))),
+    ]
+    fitted, residual, certificate = opinf.infer_operators(pieces, 1)
+    assert (certificate.num_columns, certificate.required_columns) == (7, 3)
+    X, Y, U = _transitions(pieces)
+    D = opinf.assemble_data_matrix(X, U, 1).matrix
+    expected = np.linalg.lstsq(D.T, Y.T, rcond=None)[0].T
+    assert np.abs(fitted.stacked() - expected).max() <= 1e-12 * np.abs(expected).max()
+    assert residual == pytest.approx(np.linalg.norm(D.T @ expected.T - Y.T), rel=1e-10)
 
 
-def test_concat_never_fabricates_cross_piece_transition():
-    t1 = np.array([[0.0, 1.0]])
-    t2 = np.array([[100.0, 101.0]])
-    X, Y, _ = opinf.concat_trajectories([(t1, None), (t2, None)])
-    pairs = set(zip(X.ravel(), Y.ravel()))
-    assert pairs == {(0.0, 1.0), (100.0, 101.0)}
+def test_infer_never_pairs_states_across_pieces():
+    # x_{k+1} = a x_k on each piece; a pair (a^2, 100) across the two pieces
+    # would leave a residual of order 100
+    a = 0.8
+    pieces = [(np.array([[1.0, a, a**2]]), None), (np.array([[100.0, 100.0 * a]]), None)]
+    model, residual, certificate = opinf.infer_operators(pieces, 1)
+    assert certificate.num_columns == 3
+    assert model.operators[0][0, 0] == pytest.approx(a, rel=1e-14)
+    assert residual <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "pieces",
+    [
+        [],
+        [(np.ones((2, 3)), None), (np.ones((3, 3)), None)],  # two state dimensions
+        [(np.ones((2, 3)), np.ones((1, 2))), (np.ones((2, 3)), None)],  # inputs on one
+        [(np.ones((2, 3)), np.ones((1, 2))), (np.ones((2, 3)), np.ones((2, 2)))],
+        [(np.ones((2, 4)), np.ones((1, 2)))],  # fewer input columns than transitions
+        [(np.array([[1.0, np.inf, 1.0]]), None)],
+        [(np.array([[1.0, 1.0, np.nan]]), None)],  # the last state only
+        [(np.ones((2, 0)), None)],
+        [(np.ones(3), None)],
+    ],
+)
+def test_infer_rejects_inconsistent_pieces(pieces):
+    with pytest.raises(ValueError):
+        opinf.infer_operators(pieces, 1)
 
 
 def test_infer_scalar_linear_system_exactly():
     a = 0.8
     states = np.array([[1.0, a, a**2, a**3]])
-    X, Y = states[:, :-1], states[:, 1:]
-    model, residual, certificate = opinf.infer_operators(X, Y, None, 1)
+    model, residual, certificate = opinf.infer_operators([(states, None)], 1)
     assert model.operators[0][0, 0] == pytest.approx(a, rel=1e-14)
     assert residual <= 1e-14
     assert certificate.satisfied
@@ -134,9 +169,8 @@ def test_infer_recovers_intrusive_operators_from_reprojected_data():
         x0 = subspace.lift(basis, z0[:, None]).ravel()
         U = fom.random_input_trajectory(10, 1, -0.5, 0.5, seed=100 + l)
         bar = opinf.reproject_sample(model, basis, x0, U)
-        pieces.append((bar, U))
-    X, Y, U = opinf.concat_trajectories(pieces)
-    learned, residual, certificate = opinf.infer_operators(X, Y, U, model.degree, "re-projected")
+        pieces.append((bar.states, U))
+    learned, residual, certificate = opinf.infer_operators(pieces, model.degree, "re-projected")
 
     assert certificate.satisfied
     gap = np.linalg.norm(learned.stacked() - intrusive.stacked())
@@ -153,16 +187,16 @@ def test_infer_rank_decision_ignores_row_scaling():
     intrusive = rom.galerkin_project(model, basis)
 
     rng = np.random.default_rng(12)
+    scale = 1e12
     pieces = []
     for l in range(6):
         z0 = rng.normal(size=3)
         x0 = subspace.lift(basis, z0[:, None]).ravel()
         U = fom.random_input_trajectory(10, 1, -0.5, 0.5, seed=100 + l)
-        pieces.append((opinf.reproject_sample(model, basis, x0, U), U))
-    X, Y, U = opinf.concat_trajectories(pieces)
-    scale = 1e12
-    data = opinf.assemble_data_matrix(X, scale * U, model.degree, source="re-projected")
-    learned, _, certificate = opinf.infer_operators(X, Y, scale * U, model.degree, "re-projected")
+        pieces.append((opinf.reproject_sample(model, basis, x0, U).states, scale * U))
+    X, _, U = _transitions(pieces)
+    data = opinf.assemble_data_matrix(X, U, model.degree, source="re-projected")
+    learned, _, certificate = opinf.infer_operators(pieces, model.degree, "re-projected")
 
     assert (certificate.numerical_rank, certificate.required_columns) == (10, 10)
     assert certificate.satisfied
@@ -183,8 +217,7 @@ def test_infer_from_plain_projection_carries_closure_error():
         U = fom.random_input_trajectory(10, 1, -0.5, 0.5, seed=100 + l)
         traj = fom.simulate(model, np.zeros(12), U)
         pieces.append((subspace.project(basis, traj.states), U))
-    X, Y, U = opinf.concat_trajectories(pieces)
-    learned, residual, _ = opinf.infer_operators(X, Y, U, model.degree)
+    learned, residual, _ = opinf.infer_operators(pieces, model.degree)
 
     assert learned.provenance == "inferred-plain"
     assert residual > 1e-10
@@ -193,9 +226,8 @@ def test_infer_from_plain_projection_carries_closure_error():
 
 
 def test_infer_rank_deficient_returns_min_norm_and_unsatisfied():
-    states = np.zeros((2, 4))  # all-zero data: rank 0
-    Y = np.zeros((2, 4))
-    model, residual, certificate = opinf.infer_operators(states, Y, None, 1)
+    states = np.zeros((2, 5))  # all-zero data: rank 0
+    model, residual, certificate = opinf.infer_operators([(states, None)], 1)
     assert not certificate.satisfied
     assert certificate.numerical_rank == 0
     assert np.array_equal(model.operators[0], np.zeros((2, 2)))
@@ -213,10 +245,10 @@ def test_infer_perturbation_never_improves_residual():
         bar = opinf.reproject_sample(
             model, basis, subspace.lift(basis, z0[:, None]).ravel(), U
         )
-        pieces.append((bar, U))
-    X, Y, U = opinf.concat_trajectories(pieces)
+        pieces.append((bar.states, U))
+    X, Y, U = _transitions(pieces)
     data = opinf.assemble_data_matrix(X, U, model.degree)
-    fitted, residual, _ = opinf.infer_operators(X, Y, U, model.degree)
+    fitted, residual, _ = opinf.infer_operators(pieces, model.degree)
     O = fitted.stacked()
     for trial in range(20):
         O_pert = O.copy()
@@ -354,9 +386,10 @@ def test_reprojected_data_cuts_a_diverging_piece_like_its_single_run():
     singles = [opinf.reproject_sample(model, basis, x0, U) for x0, U in zip(starts, inputs)]
     assert [s.diverged for s in singles] == [False, True, False]
     assert 1 < singles[1].diverged_at < 40
-    (X, Y, U), = opinf.reprojected_data([model], basis, [starts], [inputs])
+    pieces, = opinf.reprojected_data([model], basis, [starts], [inputs])
+    X, Y, U = _transitions(pieces)
     data = opinf.assemble_data_matrix(X, U, model.degree, source="re-projected")
-    X_ref, Y_ref, U_ref = opinf.concat_trajectories(list(zip(singles, inputs)))
+    X_ref, Y_ref, U_ref = _transitions([(s.states, U) for s, U in zip(singles, inputs)])
     ref = opinf.assemble_data_matrix(X_ref, U_ref, model.degree, source="re-projected")
     assert data.num_columns == 80 + singles[1].diverged_at - 1
     # the blow-up before the overflow amplifies rounding, so entrywise
@@ -424,19 +457,20 @@ def _equilibrated(X, U, degree):
     return D / w[:, None], w
 
 
-def _fits(monkeypatch, X, Y, U, degree):
+def _fits(monkeypatch, pieces, degree):
     """The fit and certificate of `infer_operators`, and its fit without the
     refining second pass."""
-    fitted, residual, certificate = opinf.infer_operators(X, Y, U, degree, "re-projected")
+    fitted, residual, certificate = opinf.infer_operators(pieces, degree, "re-projected")
     with monkeypatch.context() as patch:
         patch.setattr(opinf, "_correction", lambda Ot, *args: 0.0)
-        unrefined = opinf.infer_operators(X, Y, U, degree, "re-projected")[0]
+        unrefined = opinf.infer_operators(pieces, degree, "re-projected")[0]
     return fitted, residual, certificate, unrefined
 
 
-def _check_spectrum(certificate, X, U, degree):
+def _check_spectrum(certificate, pieces, degree):
     """The certificate's spectrum, and that of `certify`, are the singular
     values of the row-equilibrated data matrix."""
+    X, _, U = _transitions(pieces)
     s = la.svdvals(_equilibrated(X, U, degree)[0])
     data = opinf.assemble_data_matrix(X, U, degree, source="re-projected")
     for values in (certificate.singular_values, opinf.certify(data).singular_values):
@@ -453,8 +487,8 @@ def test_streamed_fit_over_many_chunks_of_ill_conditioned_reprojected_data(monke
     inputs = [fom.random_input_trajectory(1000, 1, 0.0, 10.0, seed=l) for l in range(2)]
     x0 = np.zeros(32)
     basis, _ = opinf.snapshot_basis([model], [x0], [inputs], 6)
-    (X, Y, U), = opinf.reprojected_data([model], basis, [x0], [inputs])
-    fitted, residual, certificate, unrefined = _fits(monkeypatch, X, Y, U, model.degree)
+    pieces, = opinf.reprojected_data([model], basis, [x0], [inputs])
+    fitted, residual, certificate, unrefined = _fits(monkeypatch, pieces, model.degree)
 
     assert certificate.satisfied and certificate.condition_number > 1e10
     intrusive = rom.galerkin_project(model, basis).stacked()
@@ -462,7 +496,7 @@ def test_streamed_fit_over_many_chunks_of_ill_conditioned_reprojected_data(monke
     assert gap <= 1e-8 * np.linalg.norm(intrusive)
     assert gap < np.linalg.norm(unrefined.stacked() - intrusive)
     assert residual <= 1e-10
-    _check_spectrum(certificate, X, U, model.degree)
+    _check_spectrum(certificate, pieces, model.degree)
 
 
 @pytest.mark.parametrize("K", [6, 0])
@@ -477,7 +511,7 @@ def test_streamed_fit_of_fewer_columns_than_unknowns(monkeypatch, K):
     U = fom.random_input_trajectory(6, 1, -0.5, 0.5, seed=100)[:, :K]
     bar = opinf.reproject_sample(model, basis, x0, U, num_steps=K)
     X, Y = bar.X, bar.Y
-    fitted, residual, certificate, unrefined = _fits(monkeypatch, X, Y, U, model.degree)
+    fitted, residual, certificate, unrefined = _fits(monkeypatch, [(bar.states, U)], model.degree)
 
     assert (certificate.num_columns, certificate.required_columns) == (K, 10)
     assert certificate.numerical_rank == K and not certificate.satisfied
@@ -492,7 +526,7 @@ def test_streamed_fit_of_fewer_columns_than_unknowns(monkeypatch, K):
     intrusive = rom.galerkin_project(model, basis).stacked()
     gap = np.linalg.norm(fitted.stacked() - intrusive)
     assert gap <= np.linalg.norm(unrefined.stacked() - intrusive) + 1e-12 * scale
-    _check_spectrum(certificate, X, U, model.degree)
+    _check_spectrum(certificate, [(bar.states, U)], model.degree)
 
 
 def test_streamed_fit_memory_does_not_grow_with_columns():
@@ -500,17 +534,41 @@ def test_streamed_fit_memory_does_not_grow_with_columns():
     peaks = []
     for K in (20_000, 40_000):
         rng = np.random.default_rng(K)
-        X, Y = rng.uniform(-1.0, 1.0, (2, 6, K))
+        states = rng.uniform(-1.0, 1.0, (6, K + 1))
         U = rng.uniform(0.0, 10.0, (1, K))
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            opinf.infer_operators(X, Y, U, 3)
+            opinf.infer_operators([(states, U)], 3)
             peaks.append(tracemalloc.get_traced_memory()[1] - before)
         finally:
             tracemalloc.stop()
     assert peaks[1] <= peaks[0]
     assert peaks[0] < 84 * 20_000 * 8 / 4  # far below one data matrix
+
+
+def test_reprojected_fit_memory_does_not_grow_beyond_its_samples():
+    # chafee sizes: nbar = 6, degree 3, one input; two pieces of K steps.
+    # Past the re-projected states and the input block they are sampled
+    # with, the fit holds chunks of its pieces only, whatever K
+    model = fom.make_chafee_infante(dt=1e-5, num_nodes=32)
+    x0 = np.zeros(32)
+    snapshot_inputs = [fom.random_input_trajectory(1000, 1, 0.0, 10.0, seed=0)]
+    basis, _ = opinf.snapshot_basis([model], [x0], [snapshot_inputs], 6)
+    peaks, sampled = [], []
+    for K in (5_000, 10_000):
+        inputs = [fom.random_input_trajectory(K, 1, 0.0, 10.0, seed=l) for l in range(2)]
+        sampled.append(8 * (6 * (K + 1) + K) * len(inputs))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            certificate = opinf.fit_reprojected([model], basis, [x0], [inputs])[2][0]
+            peaks.append(tracemalloc.get_traced_memory()[1] - before - sampled[-1])
+        finally:
+            tracemalloc.stop()
+        assert certificate.num_columns == 2 * K
+    # a copy of the states would grow the rest by 8 * 6 * K * 2 bytes
+    assert peaks[1] - peaks[0] <= 0.05 * (sampled[1] - sampled[0]), (peaks, sampled)
 
 
 def test_fold_holds_r_one_buffer_and_one_chunk(monkeypatch):
