@@ -30,12 +30,7 @@ from .opinf import (
     learn_with_reprojection,
     reproject_sample,
 )
-from .polytensor import (
-    compressed_dim,
-    duplication_matrix,
-    multiplicity,
-    selection_matrix,
-)
+from .polytensor import compressed_dim, multiplicity
 from .rom import (
     PolynomialModel,
     galerkin_project,

@@ -155,11 +155,12 @@ def simulate(model, x0, U=None, num_steps=None):
 
     x0 is one start (N,) with input columns u_0 .. (at least num_steps of
     them) as a (p, K) array, or a block of m starts (N, m) with inputs
-    (p, K, m), stepped side by side into states (N, K+1, m); U is ignored for
-    input-free models.  The arguments are checked once here (`_checked`)
-    and the model's unchecked `block_step` goes to `_run`.  A single run
-    stops early with the divergence flag set; in a block a diverged column
-    is frozen and the others go on (see `Trajectory`).
+    (p, K, m), stepped side by side into states (N, K+1, m); an input-free
+    model takes only the number of columns of U, if given.  The arguments
+    are checked once here (`_checked`) and the model's unchecked
+    `block_step` goes to `_run`.  A single run stops early with the
+    divergence flag set; in a block a diverged column is frozen and the
+    others go on (see `Trajectory`).
     """
     return _run(model.block_step, *_checked(model, x0, U, num_steps))
 
@@ -177,10 +178,12 @@ def _checked(model, x0, U, num_steps):
 
 def _input_columns(model, U, num_steps, x0=None):
     """Checked input columns (None for an input-free model) and the number of
-    steps: `num_steps`, by default one per input column.  Given the starts
-    x0, inputs (p, K) must go with one start (dim,) and inputs (p, K, m)
-    with a block (dim, m)."""
+    steps: `num_steps`, by default one per column of U (an input-free model
+    given no U takes none).  Given the starts x0, inputs (p, K) must go with
+    one start (dim,) and inputs (p, K, m) with a block (dim, m)."""
     if model.input_dim == 0:
+        if num_steps is None and U is not None:
+            num_steps = np.shape(U)[1]
         return None, num_steps or 0
     if U is None:
         raise ValueError("model has inputs; provide U")

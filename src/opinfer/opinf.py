@@ -484,13 +484,13 @@ def reprojected_data(models, basis, starts, input_sets, reproj_horizon=None):
     model j (optionally capped at `reproj_horizon` steps; the capped inputs
     of all models must share their length), all pieces of all models side
     by side as one block of `fom._stacked` whose states have only nbar rows;
-    each piece's states and inputs are views of that block.  A piece that
-    diverges is cut at its own `diverged_at`, as its single run would be;
-    the others keep all their steps.  starts[j] is either one initial
-    condition shared by the pieces of model j or a sequence with
-    one start per piece (each must lie in span(V); varied starts enrich the
-    data when trajectories from a single start leave monomial directions
-    unexplored).
+    each piece's states and inputs (None for an input-free model) are views
+    of that block.  A piece that diverges is cut at its own `diverged_at`,
+    as its single run would be; the others keep all their steps.  starts[j]
+    is either one initial condition shared by the pieces of model j or a
+    sequence with one start per piece (each must lie in span(V); varied
+    starts enrich the data when trajectories from a single start leave
+    monomial directions unexplored).
     """
     starts = [
         list(x0) if isinstance(x0, (list, tuple)) else [x0] * len(inputs)
@@ -503,4 +503,6 @@ def reprojected_data(models, basis, starts, input_sets, reproj_horizon=None):
     for inputs in input_sets:
         cols = range(first, first + len(inputs))
         first += len(inputs)
-        yield [(bar.states[:, : ends[l] or None, l], U[:, :, l]) for l in cols]
+        yield [
+            (bar.states[:, : ends[l] or None, l], None if U is None else U[:, :, l]) for l in cols
+        ]

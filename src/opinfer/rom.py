@@ -5,7 +5,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import fom as _fom
 from .polytensor import (
@@ -223,9 +222,10 @@ def truncate(model, new_dim):
 def interpolate(parameters, models, target):
     """Entrywise spline interpolation of reduced operators over a scalar grid.
 
-    Natural cubic splines through each operator entry (linear when only two
-    parameter values are given); `target` must lie inside the parameter range,
-    extrapolation is refused.
+    Natural cubic splines through each operator entry (`_natural_spline_weights`;
+    linear when only two parameter values are given); at a parameter value
+    the result is that value's model exactly.  `target` must lie inside the
+    parameter range, extrapolation is refused.
     """
     parameters = np.asarray(parameters, dtype=float)
     if parameters.ndim != 1 or parameters.size < 2:
@@ -244,13 +244,8 @@ def interpolate(parameters, models, target):
         )
 
     order = np.argsort(parameters)
-    grid = parameters[order]
     table = np.array([models[j].stacked() for j in order])
-    if grid.size == 2:
-        w = (grid[1] - target) / (grid[1] - grid[0])
-        stacked = w * table[0] + (1.0 - w) * table[1]
-    else:
-        stacked = CubicSpline(grid, table, axis=0, bc_type="natural")(target)
+    stacked = np.tensordot(_natural_spline_weights(parameters[order], target), table, axes=1)
 
     template = models[0]
     operators, start = [], 0
@@ -265,3 +260,33 @@ def interpolate(parameters, models, target):
         provenance="interpolated",
         parameter=float(target),
     )
+
+
+def _natural_spline_weights(grid, target):
+    """Weights w (q,) such that sum_k w[k] y_k is the natural cubic spline
+    through the points (grid[k], y_k) at `target`, for any values y_k.
+
+    `grid` is increasing and holds `target`; h_k = grid[k+1] - grid[k].
+    The second derivatives M = G y solve M_0 = M_{q-1} = 0 and, for
+    0 < k < q-1,
+    h_{k-1} M_{k-1} + 2 (h_{k-1} + h_k) M_k + h_k M_{k+1}
+    = 6 ((y_{k+1} - y_k) / h_k - (y_k - y_{k-1}) / h_{k-1}).
+    On the interval [grid[j], grid[j+1]] that holds `target` the spline is
+    a y_j + b y_{j+1} + (a^3 - a) h_j^2 / 6 M_j + (b^3 - b) h_j^2 / 6 M_{j+1}
+    with b = (target - grid[j]) / h_j and a = (grid[j+1] - target) / h_j;
+    at a node, a or b is exactly 1 and the rest are exactly 0.
+    """
+    q = grid.size
+    h = np.diff(grid)
+    lhs, rhs = np.eye(q), np.zeros((q, q))
+    for k in range(1, q - 1):
+        lhs[k, k - 1 : k + 2] = h[k - 1], 2.0 * (h[k - 1] + h[k]), h[k]
+        rhs[k, k - 1 : k + 2] = 6.0 / h[k - 1], -6.0 / h[k - 1] - 6.0 / h[k], 6.0 / h[k]
+    G = np.linalg.solve(lhs, rhs)
+    j = min(np.searchsorted(grid, target, side="right") - 1, q - 2)
+    a = (grid[j + 1] - target) / h[j]
+    b = (target - grid[j]) / h[j]
+    w = (a**3 - a) * h[j] ** 2 / 6.0 * G[j] + (b**3 - b) * h[j] ** 2 / 6.0 * G[j + 1]
+    w[j] += a
+    w[j + 1] += b
+    return w

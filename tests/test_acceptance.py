@@ -8,10 +8,11 @@ each; everything else is fast.
 
 import time
 
+import kron_oracles
 import numpy as np
 import pytest
 
-from opinfer import cli, diagnostics, fom, opinf, polytensor, rom, subspace
+from opinfer import cli, diagnostics, fom, opinf, rom, subspace
 
 
 def _report(name, detail):
@@ -131,7 +132,7 @@ def _dense_kronecker_oracle(model, V):
         V_kron = V
         for _ in range(i - 1):
             V_kron = np.kron(V_kron, V)
-        dup = polytensor.duplication_matrix(n, i).toarray()
+        dup = kron_oracles.duplication_matrix(n, i).toarray()
         oracle.append(V.T @ A_full @ V_kron @ dup)
     return oracle
 

@@ -316,6 +316,27 @@ def test_learn_with_reprojection_invariant_subspace():
     assert np.linalg.norm(lifted - full.states) <= 1e-10 * (1 + np.linalg.norm(full.states))
 
 
+def test_learn_with_reprojection_of_an_input_free_model():
+    # An input-free full model takes its step count from the empty (0, K)
+    # input columns: 50 steps per piece, three starts inside span(V).
+    rng = np.random.default_rng(32)
+    N, n = 10, 3
+    W = subspace.pod_basis(rng.normal(size=(N, 12)), n).matrix
+    G = rng.normal(size=(n, n))
+    A1 = W @ (0.9 * G / np.abs(np.linalg.eigvals(G)).max()) @ W.T
+    model = fom.FullOrderModel(state_dim=N, input_dim=0, degree=1, forms=(lambda w: A1 @ w,))
+    starts = list((W @ rng.normal(size=(n, 3))).T)
+    basis, models, certificates = opinf.learn_with_reprojection(
+        lambda mu: model, [None], [starts], [[np.zeros((0, 50))] * 3], nbar=n
+    )
+    assert certificates[0].satisfied
+    assert certificates[0].num_columns == 150
+    assert models[0].input_matrix is None
+    intrusive = rom.galerkin_project(model, basis)
+    gap = np.linalg.norm(models[0].stacked() - intrusive.stacked())
+    assert gap <= 1e-10 * np.linalg.norm(intrusive.stacked())
+
+
 def test_learn_with_reprojection_is_deterministic():
     def factory(mu):
         return fom.make_random_polynomial(8, 2, input_dim=1, seed=77)

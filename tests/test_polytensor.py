@@ -1,3 +1,4 @@
+import kron_oracles as ko
 import numpy as np
 import pytest
 
@@ -87,11 +88,11 @@ def test_multiplicity_examples():
 
 def test_multiplicities_sum_to_full_kron_dimension():
     for N, i in [(2, 2), (3, 3), (4, 2), (5, 3), (2, 5)]:
-        assert pt.multiplicities(N, i).sum() == N**i
+        assert ko.multiplicities(N, i).sum() == N**i
 
 
 def test_selection_matrix_picks_representatives():
-    S = pt.selection_matrix(2, 2).toarray()
+    S = ko.selection_matrix(2, 2).toarray()
     expected = np.zeros((3, 4))
     expected[0, 0] = expected[1, 1] = expected[2, 3] = 1.0
     assert np.array_equal(S, expected)
@@ -99,23 +100,23 @@ def test_selection_matrix_picks_representatives():
 
 def test_selection_times_duplication_is_identity():
     for N, i in [(2, 2), (3, 2), (2, 3), (4, 3)]:
-        S = pt.selection_matrix(N, i)
-        D = pt.duplication_matrix(N, i)
+        S = ko.selection_matrix(N, i)
+        D = ko.duplication_matrix(N, i)
         assert np.array_equal((S @ D).toarray(), np.eye(pt.compressed_dim(N, i)))
 
 
 def test_duplication_matrix_rows_and_column_sums():
-    D = pt.duplication_matrix(2, 2).toarray()
+    D = ko.duplication_matrix(2, 2).toarray()
     assert np.array_equal(D, [[1, 0, 0], [0, 1, 0], [0, 1, 0], [0, 0, 1]])
     for N, i in [(3, 2), (2, 4), (4, 3)]:
-        sums = np.asarray(pt.duplication_matrix(N, i).sum(axis=0)).ravel()
-        assert np.array_equal(sums, pt.multiplicities(N, i))
+        sums = np.asarray(ko.duplication_matrix(N, i).sum(axis=0)).ravel()
+        assert np.array_equal(sums, ko.multiplicities(N, i))
 
 
 def test_duplication_expands_compressed_power():
     x = np.array([1.0, 2.0])
     assert np.array_equal(
-        pt.duplication_matrix(2, 2) @ pt.compressed_power_matrix(x, 2), [1.0, 2.0, 2.0, 4.0]
+        ko.duplication_matrix(2, 2) @ pt.compressed_power_matrix(x, 2), [1.0, 2.0, 2.0, 4.0]
     )
 
 
@@ -125,15 +126,15 @@ def test_compressed_power_matches_kron_side_exactly():
     for N in range(1, 9):
         for i in range(1, 5):
             x = rng.normal(size=N)
-            picked = pt.selection_matrix(N, i) @ pt.kron_power(x, i)
+            picked = ko.selection_matrix(N, i) @ ko.kron_power(x, i)
             assert np.array_equal(picked, pt.compressed_power_matrix(x, i))
 
 
 def test_full_kron_size_guard():
     with pytest.raises(ValueError):
-        pt.selection_matrix(300, 4)
+        ko.selection_matrix(300, 4)
     with pytest.raises(ValueError):
-        pt.duplication_matrix(300, 4)
+        ko.duplication_matrix(300, 4)
 
 
 def test_compressed_power_matrix_is_the_columnwise_power():
@@ -144,7 +145,7 @@ def test_compressed_power_matrix_is_the_columnwise_power():
         assert block.shape == (pt.compressed_dim(5, i), 4)
         for j in range(4):
             column = pt.compressed_power_matrix(X[:, j], i)
-            assert np.array_equal(column, pt.selection_matrix(5, i) @ pt.kron_power(X[:, j], i))
+            assert np.array_equal(column, ko.selection_matrix(5, i) @ ko.kron_power(X[:, j], i))
             assert np.array_equal(block[:, j], column)
     with pytest.raises(ValueError):
         pt.compressed_power_matrix(np.zeros((2, 2, 2)), 2)

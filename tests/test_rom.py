@@ -1,7 +1,9 @@
 from dataclasses import replace
 
+import kron_oracles
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from opinfer import fom, polytensor, rom, subspace
 
@@ -21,7 +23,7 @@ def _dense_projection_oracle(model, V):
         V_kron = V
         for _ in range(i - 1):
             V_kron = np.kron(V_kron, V)
-        dup = polytensor.duplication_matrix(n, i).toarray()
+        dup = kron_oracles.duplication_matrix(n, i).toarray()
         out.append(V.T @ A_full @ V_kron @ dup)
     return out
 
@@ -364,6 +366,33 @@ def test_interpolate_two_nodes_is_linear_blend():
     w = (3.0 - 1.5) / (3.0 - 1.0)
     expected = w * models[0].operators[0] + (1 - w) * models[1].operators[0]
     assert np.allclose(blended.operators[0], expected, rtol=1e-14)
+
+
+@pytest.mark.parametrize("q", [3, 4, 10])
+def test_interpolate_matches_the_natural_cubic_spline(q):
+    # unequally spaced grids, given out of order; ten parameters is the
+    # paper-scale Burgers study
+    rng = np.random.default_rng(q)
+    grid = 0.1 + np.cumsum(rng.uniform(0.5, 1.5, q)) / q
+    models = [
+        rom.PolynomialModel(
+            operators=(rng.normal(size=(3, 3)), rng.normal(size=(3, 6))),
+            input_matrix=rng.normal(size=(3, 1)),
+            parameter=mu,
+        )
+        for mu in grid
+    ]
+    oracle = CubicSpline(grid, np.array([m.stacked() for m in models]), axis=0, bc_type="natural")
+    order = rng.permutation(q)
+    shuffled = [models[k] for k in order]
+    between = grid[:-1] + rng.uniform(0.05, 0.95, q - 1) * np.diff(grid)
+    for target in [*grid, *between]:
+        got = rom.interpolate(grid[order], shuffled, target).stacked()
+        expected = oracle(target)
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+    # at a node, that node's model exactly
+    for mu, model in zip(grid, models):
+        assert np.array_equal(rom.interpolate(grid[order], shuffled, mu).stacked(), model.stacked())
 
 
 def test_interpolate_refuses_extrapolation_and_mismatch():
