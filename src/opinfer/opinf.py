@@ -373,8 +373,9 @@ def snapshot_basis(models, starts, input_sets, nbar, snapshot_stride=1):
     `snapshot_stride`-th column of x_0 .. x_{K-1} is never formed: each
     window's columns become rows of S^T that `_fold` folds into the
     triangular factor R of the rows so far.  Since S = R^T Q^T with
-    orthonormal Q, the POD of R^T (N x min(N, width)) has the modes and the
-    singular values of S.  Thinning trades basis quality for memory only:
+    orthonormal Q, R^T (N x min(N, width)) has the left singular vectors and
+    the singular values of S, and `subspace.pod_basis` computes only the
+    leading ones from it.  Thinning trades basis quality for memory only:
     recovery does not depend on how the basis was obtained.
 
     Returns (basis, state_scales) where state_scales[j] is the largest state

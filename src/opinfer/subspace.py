@@ -5,6 +5,10 @@ import scipy.linalg as la
 
 RANK_TOL = 1e-13  # singular values below RANK_TOL * sigma_1 do not count as rank
 SIGN_TOL = 1e-8  # entries within this relative distance of a mode's largest magnitude tie
+OVERSAMPLE = 10  # pod_basis finds n + OVERSAMPLE leading pairs for n modes
+ITERATE_FACTOR = 8  # ... by iteration once the factor's smaller side exceeds this many times that
+MAX_POWER_STEPS = 20  # an iteration not converged after this many steps gives way to the SVD
+RESIDUAL_TOL = 1e-12  # relative residuals below this have reached round-off
 
 
 class RankError(ValueError):
@@ -14,9 +18,9 @@ class RankError(ValueError):
 class Basis:
     """Orthonormal reduced basis: columns of `matrix` ordered by singular value.
 
-    `singular_values` keeps the spectrum of the snapshot matrix the basis was
-    cut from (all min(N, width) values that the factorization produced, not
-    just the leading ones) for truncation diagnostics.
+    `singular_values` keeps the leading singular values of the snapshot
+    matrix the basis was cut from, for truncation diagnostics: `pod_basis`
+    keeps n + OVERSAMPLE of them (fewer if the matrix is narrower).
     """
 
     def __init__(self, matrix, singular_values=None):
@@ -60,27 +64,70 @@ def fold_rows(rows):
     return R
 
 
+def _leading_svd(A, n, k):
+    """Leading left singular vectors U (N, k) and values s (k,) of A by block
+    subspace iteration, or None if the n leading pairs have not converged
+    within MAX_POWER_STEPS steps.
+
+    Each step orthonormalizes Y = A W (thin QR), takes the Rayleigh-Ritz
+    pairs from the thin SVD of the k x c matrix Q^T A = U~ diag(s) W^T,
+    sets U = Q U~ and Y = A W for the next step (Halko, Martinsson & Tropp,
+    SIAM Rev. 53(2), 2011, Alg. 4.4).  Since A^T U = W diag(s) exactly, the
+    residual of a pair is ||A w_i - s_i u_i||, read off Y.  The iteration
+    stops once the largest residual of the n leading pairs, relative to s_1,
+    is below RESIDUAL_TOL and the step cut it by less than tenfold: it has
+    reached round-off.  The start is seeded here, so a factor always gets
+    the same basis.
+    """
+    Y = A @ np.random.default_rng(0).standard_normal((A.shape[1], k))
+    previous = np.inf
+    for _ in range(MAX_POWER_STEPS):
+        Q = la.qr(Y, mode="economic", overwrite_a=True, check_finite=False)[0]
+        Ut, s, Wt = la.svd(Q.T @ A, full_matrices=False, check_finite=False)
+        U = Q @ Ut
+        Y = A @ Wt.T
+        if s[0] == 0.0:
+            return U, s
+        residual = np.linalg.norm(Y[:, :n] - U[:, :n] * s[:n], axis=0).max() / s[0]
+        if residual <= RESIDUAL_TOL and 10.0 * residual >= previous:
+            return U, s
+        previous = residual
+    return None
+
+
 def pod_basis(snapshots, n):
     """Leading n left singular vectors of a snapshot matrix.
 
-    A thin SVD of the snapshot matrix itself (not of a Gram matrix) supplies
-    the modes; `opinf.snapshot_basis` passes R^T, the transposed R factor of
-    S^T (`fold_rows`), which has the left singular vectors and the singular
-    values of S.  Requesting more modes than the numerical rank (singular
-    values above RANK_TOL * sigma_1) is an error.  Each column's sign makes
-    positive its first entry whose magnitude is within SIGN_TOL of the
-    largest, so that mirror-symmetric modes, whose largest magnitudes tie up
-    to rounding, get the same sign from any factorization.
+    The modes come from the snapshot matrix itself, not from a Gram matrix;
+    `opinf.snapshot_basis` passes R^T, the transposed R factor of S^T
+    (`fold_rows`), which has the left singular vectors and the singular
+    values of S.  Only the k = n + OVERSAMPLE leading pairs are computed.  A
+    factor of more than ITERATE_FACTOR * k rows and columns gets them by
+    subspace iteration (`_leading_svd`); a smaller factor, or one whose
+    iteration does not converge, gets a thin SVD, which costs about as much
+    there.  The basis keeps the k leading singular values.  After an
+    iteration the n leading ones are exact to round-off; the others are Ritz
+    values, which converge more slowly and never exceed the true ones.
+    Requesting more modes than the numerical rank (sigma_n not above
+    RANK_TOL * sigma_1) is an error.  Each column's sign makes positive its
+    first entry whose magnitude is within SIGN_TOL of the largest, so that
+    mirror-symmetric modes, whose largest magnitudes tie up to rounding, get
+    the same sign from any factorization.
     """
     snapshots = np.asarray(snapshots, dtype=float)
     if snapshots.ndim != 2:
         raise ValueError(f"snapshots must be 2-D, got shape {snapshots.shape}")
     if not np.isfinite(snapshots).all():
         raise ValueError("snapshots must be finite")
-    U, s, _ = la.svd(snapshots, full_matrices=False)
+    k = n + OVERSAMPLE
+    leading = None
+    if n >= 1 and min(snapshots.shape) > ITERATE_FACTOR * k:
+        leading = _leading_svd(snapshots, n, k)
+    U, s = leading or la.svd(snapshots, full_matrices=False)[:2]
     rank = int(np.count_nonzero(s > RANK_TOL * s[0])) if s.size and s[0] > 0 else 0
     if not 1 <= n <= rank:
         raise RankError(f"requested {n} modes but numerical rank is {rank}")
+    s = s[:k]
     V = U[:, :n].copy()
     magnitudes = np.abs(V)
     lead = np.argmax(magnitudes >= (1.0 - SIGN_TOL) * magnitudes.max(axis=0), axis=0)

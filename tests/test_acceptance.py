@@ -3,7 +3,8 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as they
 complete.  Criteria 6-8 execute the benchmark studies (full-scale Burgers,
 desk-scale Chafee-Infante and diffusion-reaction) and take several minutes
-each; everything else is fast.
+each; everything else is fast.  The paper-scale diffusion-reaction study is
+marked `paper` and runs only with ``pytest -m paper``.
 """
 
 import time
@@ -299,7 +300,19 @@ def test_criterion_7_chafee_desk_scale():
 
 
 def test_criterion_8_reaction2d_desk_scale():
-    """Desk-scale diffusion-reaction: certificates satisfied (rank decided on
+    """Desk-scale diffusion-reaction; see `_check_reaction2d`."""
+    _check_reaction2d("desk")
+
+
+@pytest.mark.paper
+def test_criterion_8_reaction2d_paper_scale():
+    """Criterion 8's assertions on the paper-scale study (N = 4096), which
+    takes minutes: deselected by default, run with ``pytest -m paper``."""
+    _check_reaction2d("paper")
+
+
+def _check_reaction2d(scale):
+    """Diffusion-reaction at `scale`: certificates satisfied (rank decided on
     the row-equilibrated data matrix), re-projection matches the intrusive
     model to 1e-6 for n <= 10, and for each n > 2 the plain fits diverge at
     some parameter or their parameter-averaged error exceeds the intrusive
@@ -310,7 +323,7 @@ def test_criterion_8_reaction2d_desk_scale():
     missing values); it is not a claim about every (mu, n) cell, since a
     least-squares fit to projected data can absorb part of the closure error
     at a single parameter."""
-    config = cli.default_config("reaction2d", "desk")
+    config = cli.default_config("reaction2d", scale)
     config.seed = 0
     report = cli.run_study(config)
 
@@ -349,7 +362,7 @@ def test_criterion_8_reaction2d_desk_scale():
         )
         plain_summary.append(f"{plain_mean / intrusive_mean:.3f}")
     _report(
-        "criterion-8",
+        f"criterion-8 ({scale})",
         f"10 certificates satisfied; worst reproj difference {worst:.2e} <= 1e-6; "
         f"plain diverged in {n_bad_plain} of {8 * len(params)} cells with n > 2; "
         "plain/intrusive mean error per n > 2: " + ",".join(plain_summary),

@@ -1,4 +1,5 @@
 import numpy as np
+import scipy.linalg as la
 import pytest
 
 from opinfer import subspace
@@ -138,3 +139,74 @@ def test_fold_rows_gives_the_r_factor_and_keeps_no_view(rows):
     assert np.array_equal(R, np.triu(R))
     assert not np.shares_memory(R, work)
     assert np.allclose(R.T @ R, A.T @ A, rtol=0.0, atol=1e-12 * np.linalg.norm(A) ** 2)
+
+
+def _signed(U):
+    """U with the sign rule of `pod_basis`: each column's first entry within
+    SIGN_TOL of its largest magnitude is positive."""
+    magnitudes = np.abs(U)
+    lead = np.argmax(magnitudes >= (1.0 - subspace.SIGN_TOL) * magnitudes.max(axis=0), axis=0)
+    return U * np.where(U[lead, np.arange(U.shape[1])] < 0, -1.0, 1.0)
+
+
+def _with_spectrum(rng, N, c, sigma):
+    """An N x c matrix with singular values sigma and random singular vectors."""
+    r = len(sigma)
+    U = np.linalg.qr(rng.normal(size=(N, r)))[0]
+    W = np.linalg.qr(rng.normal(size=(c, r)))[0]
+    return (U * sigma) @ W.T
+
+
+def _assert_matches_svd(S, basis, n):
+    U, sigma, _ = np.linalg.svd(S, full_matrices=False)
+    assert np.abs(basis.matrix - _signed(U[:, :n])).max() <= 1e-12
+    held = basis.singular_values
+    assert held.shape == (n + subspace.OVERSAMPLE,)
+    assert np.abs(held[:n] - sigma[:n]).max() <= 1e-13 * sigma[0]
+
+
+# factors of more than ITERATE_FACTOR * (n + OVERSAMPLE) rows and columns, n <= 8
+ITERATED = (200, 160)
+
+
+def test_pod_iteration_matches_the_svd_with_nearly_tied_values():
+    rng = np.random.default_rng(10)
+    n = 6
+    sigma = 0.6 ** np.arange(40.0)
+    sigma[3] = sigma[2] * (1.0 - 1e-3)  # a near tie inside the leading block
+    S = _with_spectrum(rng, *ITERATED, sigma)
+    assert subspace._leading_svd(S, n, n + subspace.OVERSAMPLE) is not None
+    _assert_matches_svd(S, subspace.pod_basis(S, n), n)
+
+
+def test_pod_iteration_rejects_rank_overflow():
+    rng = np.random.default_rng(11)
+    S = _with_spectrum(rng, *ITERATED, [3.0, 2.0, 1.0])
+    with pytest.raises(subspace.RankError, match="numerical rank is 3"):
+        subspace.pod_basis(S, 5)
+    assert subspace.pod_basis(S, 3).reduced_dim == 3
+
+
+def test_pod_slow_decay_falls_back_to_the_svd():
+    # a Gaussian factor's spectrum barely decays, so the iteration does not
+    # converge within MAX_POWER_STEPS and the thin SVD gives the modes
+    S = np.random.default_rng(12).normal(size=ITERATED)
+    n = 6
+    assert subspace._leading_svd(S, n, n + subspace.OVERSAMPLE) is None
+    _assert_matches_svd(S, subspace.pod_basis(S, n), n)
+
+
+def test_pod_iteration_is_reproducible():
+    S = _with_spectrum(np.random.default_rng(13), *ITERATED, 0.5 ** np.arange(30.0))
+    first, second = subspace.pod_basis(S, 8), subspace.pod_basis(S.copy(), 8)
+    assert np.array_equal(first.matrix, second.matrix)
+    assert np.array_equal(first.singular_values, second.singular_values)
+
+
+def test_pod_of_a_factor_at_the_size_rule_takes_the_svd():
+    # 8 * (6 + OVERSAMPLE) = 128: the N = 128 Chafee factor with 6 modes
+    # keeps the thin SVD, bit for bit
+    S = _with_spectrum(np.random.default_rng(14), 128, 128, 0.5 ** np.arange(40.0))
+    assert subspace.ITERATE_FACTOR * (6 + subspace.OVERSAMPLE) == 128
+    U = la.svd(S, full_matrices=False)[0]
+    assert np.array_equal(subspace.pod_basis(S, 6).matrix, _signed(U[:, :6]))
