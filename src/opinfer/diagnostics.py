@@ -6,7 +6,6 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as la
 
 from . import fom as _fom
 from .opinf import DataMatrix
@@ -153,7 +152,7 @@ def condition_number(D):
     matrix = D.matrix if isinstance(D, DataMatrix) else np.asarray(D, dtype=float)
     if matrix.size == 0 or not np.any(matrix):
         raise ValueError("data matrix is zero or empty")
-    s = la.svdvals(matrix)
+    s = np.linalg.svd(matrix, compute_uv=False)
     if s[-1] < UNDERFLOW_GUARD:
         return float("inf")
     return float((s[0] / s[-1]) ** 2)

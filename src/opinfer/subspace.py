@@ -1,7 +1,6 @@
 """POD bases from snapshot matrices and projection onto reduced coordinates."""
 
 import numpy as np
-import scipy.linalg as la
 
 RANK_TOL = 1e-13  # singular values below RANK_TOL * sigma_1 do not count as rank
 SIGN_TOL = 1e-8  # entries within this relative distance of a mode's largest magnitude tie
@@ -55,13 +54,34 @@ def fold_rows(rows):
     the rows (M, N), which are overwritten.
 
     Any rows [R_old; A] fold into the R of [S_old^T; A] when R_old is the R
-    factor of S_old^T, since both have the same Gram matrix.  A
-    Fortran-ordered `rows` is factorized in place by LAPACK geqrf; only the
-    triangle is copied out, so nothing of the M x N factorization stays
-    alive.
+    factor of S_old^T, since both have the same Gram matrix.  The rows must
+    be a Fortran-ordered float64 array, which LAPACK geqrf factorizes in
+    place; only the triangle is copied out, so nothing of the M x N
+    factorization stays alive.  `np.linalg.qr` would first copy the rows,
+    which doubles the memory of `opinf._fold`'s buffer, so geqrf is called
+    here through numpy's own `numpy.linalg.lapack_lite`, a module numpy
+    ships but does not list as public.  It takes C-contiguous arrays only,
+    hence `rows.T`: the same memory, read by LAPACK as the M x N matrix.
     """
-    _, R = la.qr(rows, mode="raw", overwrite_a=True, check_finite=False)
-    return R
+    from numpy.linalg import lapack_lite
+
+    if not (isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype == np.float64
+            and rows.flags.f_contiguous and rows.flags.writeable):
+        raise ValueError("fold_rows needs a writeable Fortran-ordered 2-D float64 array")
+    M, N = rows.shape
+    tau = np.empty(min(M, N))
+
+    def geqrf(work, lwork):
+        info = lapack_lite.dgeqrf(M, N, rows.T, M, tau, work, lwork, 0)["info"]
+        if info:
+            raise ValueError(f"LAPACK dgeqrf failed with info {info}")
+
+    if M and N:
+        work = np.empty(1)
+        geqrf(work, -1)  # the workspace query writes the optimal size to work[0]
+        lwork = max(N, int(work[0]))
+        geqrf(np.empty(lwork), lwork)
+    return np.triu(rows[: min(M, N)])
 
 
 def _leading_svd(A, n, k):
@@ -82,8 +102,8 @@ def _leading_svd(A, n, k):
     Y = A @ np.random.default_rng(0).standard_normal((A.shape[1], k))
     previous = np.inf
     for _ in range(MAX_POWER_STEPS):
-        Q = la.qr(Y, mode="economic", overwrite_a=True, check_finite=False)[0]
-        Ut, s, Wt = la.svd(Q.T @ A, full_matrices=False, check_finite=False)
+        Q = np.linalg.qr(Y)[0]
+        Ut, s, Wt = np.linalg.svd(Q.T @ A, full_matrices=False)
         U = Q @ Ut
         Y = A @ Wt.T
         if s[0] == 0.0:
@@ -104,10 +124,11 @@ def pod_basis(snapshots, n):
     values of S.  Only the k = n + OVERSAMPLE leading pairs are computed.  A
     factor of more than ITERATE_FACTOR * k rows and columns gets them by
     subspace iteration (`_leading_svd`); a smaller factor, or one whose
-    iteration does not converge, gets a thin SVD, which costs about as much
-    there.  The basis keeps the k leading singular values.  After an
-    iteration the n leading ones are exact to round-off; the others are Ritz
-    values, which converge more slowly and never exceed the true ones.
+    iteration does not converge, gets a thin SVD (`np.linalg.svd`, LAPACK
+    gesdd), which costs about as much there.  The basis keeps the k leading
+    singular values.  After an iteration the n leading ones are exact to
+    round-off; the others are Ritz values, which converge more slowly and
+    never exceed the true ones.
     Requesting more modes than the numerical rank (sigma_n not above
     RANK_TOL * sigma_1) is an error.  Each column's sign makes positive its
     first entry whose magnitude is within SIGN_TOL of the largest, so that
@@ -123,7 +144,7 @@ def pod_basis(snapshots, n):
     leading = None
     if n >= 1 and min(snapshots.shape) > ITERATE_FACTOR * k:
         leading = _leading_svd(snapshots, n, k)
-    U, s = leading or la.svd(snapshots, full_matrices=False)[:2]
+    U, s = leading or np.linalg.svd(snapshots, full_matrices=False)[:2]
     rank = int(np.count_nonzero(s > RANK_TOL * s[0])) if s.size and s[0] > 0 else 0
     if not 1 <= n <= rank:
         raise RankError(f"requested {n} modes but numerical rank is {rank}")
@@ -160,4 +181,4 @@ def lift(V, Z):
 def orthonormal_complement(V):
     """Orthonormal basis of the complement of span(V), shape (N, N - n)."""
     M = basis_matrix(V)
-    return la.null_space(M.T)
+    return np.linalg.svd(M.T, full_matrices=True)[2][M.shape[1]:].T

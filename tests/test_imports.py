@@ -1,8 +1,10 @@
-"""The package loads numpy and scipy.linalg and no other part of scipy: the
-heavy subpackages below cost every command about 0.2 s and 23 MiB at start.
+"""The package loads numpy and no part of scipy: scipy.linalg alone cost every
+command about 0.2 s and 28 MiB at start, for factorizations numpy has.
 
 Each check runs in a fresh interpreter, since the test session itself
-imports scipy.interpolate and scipy.sparse for its oracles.
+imports scipy for its oracles.  With `blocked`, the interpreter first sets
+sys.modules["scipy"] to None, so that any import of scipy raises, even one
+that would be undone before the check reads sys.modules.
 """
 
 import json
@@ -11,15 +13,17 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-HEAVY = ("scipy.interpolate", "scipy.sparse", "scipy.optimize", "scipy.special", "scipy.spatial")
 
 
-def _modules_after(code, cwd):
+def _modules_after(code, cwd, blocked):
     """The names in sys.modules after running `code` in a fresh interpreter
     that imports the package from src/."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    script = f"{code}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
+    block = 'import sys\nsys.modules["scipy"] = None\n' if blocked else ""
+    script = f"{block}{code}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
     result = subprocess.run(
         [sys.executable, "-c", script], cwd=cwd, env=env, capture_output=True, text=True,
         timeout=300,
@@ -28,20 +32,18 @@ def _modules_after(code, cwd):
     return json.loads(result.stdout.splitlines()[-1])
 
 
-def _check_scipy_parts(modules):
-    parts = {".".join(name.split(".")[:2]) for name in modules if name.startswith("scipy.")}
-    assert "scipy.linalg" in parts
-    assert parts.isdisjoint(HEAVY)
-    # scipy's own start-up modules are private (_lib, __config__, ...) or `version`
-    public = {part for part in parts if not part.split(".")[1].startswith("_")}
-    assert public <= {"scipy.linalg", "scipy.version"}
+def _check_no_scipy(modules, blocked):
+    loaded = [name for name in modules if name == "scipy" or name.startswith("scipy.")]
+    assert loaded == (["scipy"] if blocked else []), loaded
 
 
-def test_cli_import_loads_no_scipy_subpackage_but_linalg(tmp_path):
-    _check_scipy_parts(_modules_after("import opinfer.cli", tmp_path))
+@pytest.mark.parametrize("blocked", [False, True])
+def test_cli_import_loads_no_scipy(tmp_path, blocked):
+    _check_no_scipy(_modules_after("import opinfer.cli", tmp_path, blocked), blocked)
 
 
-def test_parametric_study_run_loads_no_scipy_subpackage_but_linalg(tmp_path):
+@pytest.mark.parametrize("blocked", [False, True])
+def test_parametric_study_run_loads_no_scipy(tmp_path, blocked):
     # three training parameters, so the test parameters are interpolated
     code = f"""
 from opinfer import cli
@@ -52,5 +54,5 @@ config.truncation_dims, config.num_test_params = [1, 2, 3], 3
 config.out_dir = {str(tmp_path / "burgers")!r}
 cli.run_study(config).write(config.out_dir)
 """
-    _check_scipy_parts(_modules_after(code, tmp_path))
+    _check_no_scipy(_modules_after(code, tmp_path, blocked), blocked)
     assert (tmp_path / "burgers" / "metrics.csv").exists()

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import scipy.linalg as la
 import pytest
+from numpy.linalg import lapack_lite
 
 from opinfer import subspace
 
@@ -117,6 +120,15 @@ def test_orthonormal_complement():
     assert np.abs(basis.matrix.T @ C).max() <= 1e-12
 
 
+@pytest.mark.parametrize("shape, n", [((7, 10), 3), ((60, 80), 12)])
+def test_orthonormal_complement_matches_scipy_null_space(shape, n):
+    basis = subspace.pod_basis(np.random.default_rng(8).normal(size=shape), n)
+    C = subspace.orthonormal_complement(basis)
+    oracle = la.null_space(basis.matrix.T)
+    assert C.shape == oracle.shape
+    assert np.abs(C @ C.T - oracle @ oracle.T).max() <= 1e-13
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_pod_sign_of_mirror_symmetric_modes_ignores_column_order(seed):
     # x_{15-i} = -x_i in every column, so the two largest magnitudes of each
@@ -139,6 +151,44 @@ def test_fold_rows_gives_the_r_factor_and_keeps_no_view(rows):
     assert np.array_equal(R, np.triu(R))
     assert not np.shares_memory(R, work)
     assert np.allclose(R.T @ R, A.T @ A, rtol=0.0, atol=1e-12 * np.linalg.norm(A) ** 2)
+
+
+# wide, tall, and large enough for geqrf's blocked code path
+@pytest.mark.parametrize("shape", [(4, 6), (30, 6), (300, 200), (200, 300)])
+def test_fold_rows_equals_numpy_qr_bitwise_and_overwrites_the_rows(shape):
+    A = np.random.default_rng(10).normal(size=shape)
+    work = np.asfortranarray(A)
+    R = subspace.fold_rows(work)
+    assert np.array_equal(R, np.linalg.qr(A.copy(), mode="r"))
+    assert not np.array_equal(work, A)
+    assert not np.shares_memory(R, work)
+
+
+def test_fold_rows_holds_tau_the_workspace_and_r():
+    M, N = 600, 300
+    work = np.asfortranarray(np.random.default_rng(11).normal(size=(M, N)))
+    query = np.empty(1)
+    lapack_lite.dgeqrf(M, N, np.empty((N, M)), M, np.empty(N), query, -1, 0)
+    tracemalloc.start()
+    try:
+        R = subspace.fold_rows(work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # tau, the workspace, and R with np.triu's one-byte mask
+    held = 8 * (N + max(N, int(query[0]))) + 9 * R.size
+    assert peak <= held + 4096, (peak, held)
+
+
+@pytest.mark.parametrize(
+    "rows", [np.ones((5, 3)), np.ones((5, 3), dtype=np.int64, order="F")],
+    ids=["c-ordered", "integer"],
+)
+def test_fold_rows_refuses_rows_it_would_have_to_copy(rows):
+    kept = rows.copy()
+    with pytest.raises(ValueError, match="Fortran-ordered"):
+        subspace.fold_rows(rows)
+    assert np.array_equal(rows, kept)
 
 
 def _signed(U):
