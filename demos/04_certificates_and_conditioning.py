@@ -3,16 +3,15 @@
 
 Recovery of the intrusive operators from re-projected data holds exactly when
 (a) the data has at least p + sum_i n_i columns and (b) the data matrix has
-full row rank.  Both are cheap to verify: every fit returns its certificate
-(`certify` gives the same for an explicit data matrix).  This script shows a
-certificate flipping from unsatisfied to satisfied as data accumulates, and
-the practical caveat: the condition number of Ds^T Ds grows with the reduced
+full row rank.  Both are cheap to verify: every fit returns its certificate,
+and to certify some data is to fit it.  This script shows a certificate
+flipping from unsatisfied to satisfied as data accumulates, and the
+practical caveat: the condition number of Ds^T Ds grows with the reduced
 dimension, amplifying round-off in the recovered operators.
 Ds = diag(1/w) D is the data matrix with each row scaled to unit norm; the
 certificates decide rank on it, so the scale of the rows does not matter.
-Neither `certify` nor `infer_operators` forms Ds: the columns of D fold chunk
-by chunk into a triangle R11 with D^T = Q R11, and Ds has the spectrum of
-R11 diag(1/w).
+`infer_operators` never forms Ds: the columns of D fold chunk by chunk into
+a triangle R11 with D^T = Q R11, and Ds has the spectrum of R11 diag(1/w).
 
 Run:  python3 demos/04_certificates_and_conditioning.py
 """

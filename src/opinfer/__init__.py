@@ -6,7 +6,6 @@ from .diagnostics import (
     avg_rel_state_error,
     closure_error,
     closure_error_per_step,
-    condition_number,
     mori_zwanzig_decompose,
     rel_trajectory_difference,
 )
@@ -25,7 +24,6 @@ from .opinf import (
     DataMatrix,
     RecoveryCertificate,
     assemble_data_matrix,
-    certify,
     infer_operators,
     learn_with_reprojection,
     reproject_sample,

@@ -65,7 +65,7 @@ class ExperimentConfig:
 
     `param_values` overrides the equidistant grid of `param_count` values in
     the benchmark's parameter domain.  `truncation_dims` are the reduced
-    dimensions evaluated; all must be at most `nbar`, and `main_dim`, at
+    dimensions evaluated, distinct and at most `nbar`, and `main_dim`, at
     which the toy writes its closure and norm curves, must be one of them
     when set.  `reproj_horizon`
     caps the length of re-projected (and matching plain-projected) training
@@ -120,7 +120,8 @@ class ExperimentConfig:
             raise ConfigError(f"require_recovery must be a boolean, got {self.require_recovery!r}")
         if self.cond_steps is not None and not _are_integers_upto(self.cond_steps, self.num_steps):
             raise ConfigError(
-                f"cond_steps must be integers in 1..{self.num_steps}, got {self.cond_steps!r}"
+                f"cond_steps must be distinct integers in 1..{self.num_steps}, "
+                f"got {self.cond_steps!r}"
             )
         if not (_is_real(self.reproj_start_kick) and self.reproj_start_kick >= 0):
             raise ConfigError(
@@ -135,7 +136,7 @@ class ExperimentConfig:
             raise ConfigError(f"nbar={self.nbar} exceeds the state dimension {state_dim}")
         if not _are_integers_upto(self.truncation_dims, self.nbar):
             raise ConfigError(
-                f"truncation_dims must be integers in 1..nbar={self.nbar}, "
+                f"truncation_dims must be distinct integers in 1..nbar={self.nbar}, "
                 f"got {self.truncation_dims!r}"
             )
         if self.main_dim is not None and self.main_dim not in self.truncation_dims:
@@ -199,10 +200,11 @@ def _is_integer(value):
 
 
 def _are_integers_upto(values, high):
-    """Whether `values` is a non-empty list of integers in 1..high."""
-    return isinstance(values, (list, tuple)) and len(values) > 0 and all(
-        _is_integer(v) and 1 <= v <= high for v in values
-    )
+    """Whether `values` is a non-empty list of distinct integers in 1..high."""
+    if not isinstance(values, (list, tuple)):
+        return False
+    in_range = all(_is_integer(v) and 1 <= v <= high for v in values)
+    return in_range and 0 < len(set(values)) == len(values)
 
 
 def _is_real(value):
@@ -790,8 +792,8 @@ def run_toy(config):
                 diff_rows.append([n, method, traj_diff])
 
         for K_sub in cond_steps:
-            data_sub = opinf.assemble_data_matrix(bar.X[:, :K_sub], None, 1)
-            cond_rows.append([n, K_sub, opinf.certify(data_sub).condition_number])
+            sub = opinf.infer_operators([(bar.states[:, : K_sub + 1], None)], 1)[2]
+            cond_rows.append([n, K_sub, sub.condition_number])
 
         if n == (config.main_dim or config.truncation_dims[0]):
             closure = np.linalg.norm(proj[:, :K] - tilde.states[:, :K], axis=0)

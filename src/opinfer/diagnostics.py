@@ -1,5 +1,12 @@
-"""Error metrics, closure error, data conditioning, and the Mori-Zwanzig
-split of projected linear dynamics."""
+"""Error metrics, closure error, and the Mori-Zwanzig split of projected
+linear dynamics.
+
+`cli._evaluate` computes its metrics with the pooled sums.  No run calls the
+paired metrics `avg_rel_state_error` and `rel_trajectory_difference` (with
+`_paired_metric`, `_is_diverged` and `ErrorSummary`); they stay as demo 03's
+API and as the per-trajectory oracle of `cli._evaluate`
+(`test_cli.py::test_avg_rel_error_pools_the_training_pieces`).
+"""
 
 import math
 from collections import namedtuple
@@ -8,10 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fom as _fom
-from .opinf import DataMatrix
 from .subspace import basis_matrix, orthonormal_complement
-
-UNDERFLOW_GUARD = 1e-300
 
 
 def _states(traj):
@@ -141,21 +145,6 @@ def _paired_metric(references, candidates, pooled):
         cands.append(C)
     value = pooled(refs, cands) if refs else float("nan")
     return ErrorSummary(value=value, used=len(refs), excluded=excluded)
-
-
-def condition_number(D):
-    """cond_2 of D^T D, computed as (sigma_max / sigma_min)^2 of D itself.
-
-    Works from the singular values of D and never forms D^T D.  Returns the
-    +inf sentinel when the smallest singular value underflows.
-    """
-    matrix = D.matrix if isinstance(D, DataMatrix) else np.asarray(D, dtype=float)
-    if matrix.size == 0 or not np.any(matrix):
-        raise ValueError("data matrix is zero or empty")
-    s = np.linalg.svd(matrix, compute_uv=False)
-    if s[-1] < UNDERFLOW_GUARD:
-        return float("inf")
-    return float((s[0] / s[-1]) ** 2)
 
 
 @dataclass(frozen=True)

@@ -30,35 +30,19 @@ _SOURCES = ("projected", "re-projected")  # how the regression states were sampl
 
 @dataclass(frozen=True)
 class DataMatrix:
-    """Stacked blocks [X; X^2; ...; X^ell; U] of shape (p + sum n_i, K).
-
-    `source` records whether the states came from plain projection of a full
-    trajectory or from re-projection sampling.
-    """
+    """Stacked blocks [X; X^2; ...; X^ell; U] of shape (p + sum n_i, K)."""
 
     matrix: np.ndarray
     reduced_dim: int
     degree: int
     input_dim: int
-    source: str = "projected"
 
     def __post_init__(self):
-        if self.source not in _SOURCES:
-            raise ValueError(f"unknown data source {self.source!r}")
         rows = self.input_dim + sum(
             compressed_dim(self.reduced_dim, i) for i in range(1, self.degree + 1)
         )
         if self.matrix.shape[0] != rows:
             raise ValueError(f"data matrix must have {rows} rows, got {self.matrix.shape[0]}")
-
-    @property
-    def num_columns(self):
-        return self.matrix.shape[1]
-
-    @property
-    def required_columns(self):
-        """Column count demanded by the exact-recovery condition."""
-        return self.matrix.shape[0]
 
 
 @dataclass(frozen=True)
@@ -70,10 +54,10 @@ class RecoveryCertificate:
     D_s = diag(1/w) D, where w holds the row norms of D (zero rows keep
     weight 1), so the rank decision does not depend on how the rows of X,
     X^2, ..., U happen to be scaled.  D^T = Q R11 folds chunk by chunk into
-    the triangle R11 (`infer_operators`, `certify`), whose column norms are w,
-    so D_s has the spectrum of R11 diag(1/w).  `singular_values` holds those
-    min(K, rows) values and `condition_number` is (sigma_1 / sigma_rank)^2
-    of them; the raw cond of D^T D is `diagnostics.condition_number`.
+    the triangle R11, whose column norms are w, so D_s has the spectrum of
+    R11 diag(1/w).  `singular_values` holds those min(K, rows) values and
+    `condition_number` is (sigma_1 / sigma_rank)^2 of them.  Only
+    `infer_operators` makes certificates, from the triangle it solves with.
     """
 
     num_columns: int
@@ -127,7 +111,7 @@ def _reprojected(step, V, x0, U, num_steps):
     return _fom._run(reduced_step, z0, U, num_steps)
 
 
-def assemble_data_matrix(states, U, degree, source="projected"):
+def assemble_data_matrix(states, U, degree):
     """Stack compressed state powers and inputs into a data matrix.
 
     `states` holds the regression inputs x_0 .. x_{K-1} (n, K); U holds the
@@ -154,7 +138,6 @@ def assemble_data_matrix(states, U, degree, source="projected"):
         reduced_dim=states.shape[0],
         degree=degree,
         input_dim=p,
-        source=source,
     )
 
 
@@ -223,22 +206,6 @@ def _equilibrated_svd(R11):
     w = np.linalg.norm(R11, axis=0)
     w[w == 0.0] = 1.0
     return (w, *np.linalg.svd(R11 / w, full_matrices=False))
-
-
-def certify(data):
-    """Recovery certificate of a data matrix (column count, rank, conditioning).
-
-    Rank and conditioning are those of the row-equilibrated data matrix (see
-    `RecoveryCertificate`): the spectrum of R11 diag(1/w), where R11 is the
-    triangle that the columns of D fold into chunk by chunk, as in
-    `infer_operators`.
-    """
-    D = data.matrix
-    length = _CHUNK_WIDTHS * len(D)
-    chunks = ((D[:, k : k + length],) for k in range(0, data.num_columns, length))
-    R = _fold(chunks, len(D), length)
-    s = _equilibrated_svd(R)[2]
-    return _certificate(s, data.num_columns, data.required_columns)
 
 
 def _certificate(singular_values, num_columns, required):

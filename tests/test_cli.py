@@ -143,6 +143,8 @@ _BAD_CONFIG_ENTRIES = [
     ("reaction2d", "reproj_start_kick", float("inf")),
     ("burgers", "dt", float("inf")),
     ("toy", "main_dim", 3),  # not one of truncation_dims [2, 4, 6]
+    ("custom", "truncation_dims", [2, 2, 4]),  # a repeat would repeat metrics.csv rows
+    ("toy", "cond_steps", [25, 25]),
 ]
 
 
@@ -334,6 +336,23 @@ def test_toy_default_cond_steps_are_positive():
     for n in config.truncation_dims:
         assert [K for m, K, _ in rows if m == n] == [1, 2, 3]
     assert all(np.isfinite(cond) for _, _, cond in rows)
+
+
+def test_toy_cond_is_the_certificate_of_a_fit_to_the_leading_transitions(tmp_path):
+    """Each cond of toy_cond.csv is, bit for bit, that of the certificate of
+    `infer_operators` on the leading K transitions of the toy's re-projected
+    trajectory on V_n."""
+    config = cli.default_config("toy")
+    cli.run_toy(config).write(str(tmp_path))
+    rows = np.loadtxt(tmp_path / "toy_cond.csv", delimiter=",", skiprows=1)
+    assert sorted({int(n) for n in rows[:, 0]}) == config.truncation_dims
+    N = config.state_dim
+    model = fom.make_toy_linear(N, seed=config.seed)
+    for n, K, cond in rows:
+        basis = subspace.Basis(np.eye(N)[:, : int(n)])
+        bar = opinf.reproject_sample(model, basis, np.eye(N)[:, 0], num_steps=config.num_steps)
+        certificate = opinf.infer_operators([(bar.states[:, : int(K) + 1], None)], 1)[2]
+        assert cond == certificate.condition_number, (n, K)
 
 
 def test_avg_rel_error_pools_the_training_pieces(monkeypatch):

@@ -111,33 +111,6 @@ def test_metrics_invariant_under_list_permutation():
     assert forward.value == pytest.approx(shuffled.value, rel=1e-14)
 
 
-def test_condition_number_values():
-    assert diagnostics.condition_number(np.eye(3, 7)) == pytest.approx(1.0)
-    D = np.zeros((2, 4))
-    D[0, 0] = 1.0
-    D[1, 1] = 1e-3
-    assert diagnostics.condition_number(D) == pytest.approx(1e6, rel=1e-10)
-    with pytest.raises(ValueError):
-        diagnostics.condition_number(np.zeros((2, 2)))
-
-
-def test_condition_number_infinite_sentinel():
-    D = np.zeros((2, 3))
-    D[0, 0] = 1.0  # second row identically zero: sigma_min = 0
-    assert diagnostics.condition_number(D) == float("inf")
-
-
-def test_condition_number_toy_trend():
-    model = fom.make_toy_linear(seed=8)
-    conds = []
-    for n in (2, 4, 6):
-        basis = subspace.Basis(np.eye(10)[:, :n])
-        bar = opinf.reproject_sample(model, basis, np.eye(10)[:, 0], num_steps=100)
-        data = opinf.assemble_data_matrix(bar.X, None, degree=1)
-        conds.append(diagnostics.condition_number(data))
-    assert conds[0] <= conds[1] <= conds[2]
-
-
 def _random_linear_setup(seed, N=10, n=2, in_span=False):
     rng = np.random.default_rng(seed)
     A1 = rng.uniform(0.0, 1.0, (N, N))

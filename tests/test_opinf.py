@@ -73,7 +73,6 @@ def test_assemble_data_matrix_blocks():
     U = np.array([[1.0, 1.0]])
     data = opinf.assemble_data_matrix(states, U, degree=2)
     assert np.array_equal(data.matrix, [[2.0, 3.0], [4.0, 9.0], [1.0, 1.0]])
-    assert data.required_columns == 3
 
     no_input = opinf.assemble_data_matrix(states, None, degree=1)
     assert np.array_equal(no_input.matrix, states)
@@ -194,13 +193,10 @@ def test_infer_rank_decision_ignores_row_scaling():
         x0 = subspace.lift(basis, z0[:, None]).ravel()
         U = fom.random_input_trajectory(10, 1, -0.5, 0.5, seed=100 + l)
         pieces.append((opinf.reproject_sample(model, basis, x0, U).states, scale * U))
-    X, _, U = _transitions(pieces)
-    data = opinf.assemble_data_matrix(X, U, model.degree, source="re-projected")
     learned, _, certificate = opinf.infer_operators(pieces, model.degree, "re-projected")
 
     assert (certificate.numerical_rank, certificate.required_columns) == (10, 10)
     assert certificate.satisfied
-    assert opinf.certify(data).numerical_rank == 10
     unscaled = np.hstack(learned.operators + (scale * learned.input_matrix,))
     gap = np.linalg.norm(unscaled - intrusive.stacked())
     assert gap <= 1e-10 * np.linalg.norm(intrusive.stacked())
@@ -260,20 +256,16 @@ def test_infer_perturbation_never_improves_residual():
 
 
 def test_certify_orthonormal_rows():
-    data = opinf.DataMatrix(
-        matrix=np.eye(3, 10), reduced_dim=3, degree=1, input_dim=0
-    )
-    certificate = opinf.certify(data)
+    # one piece whose 10 transitions have the data matrix D = eye(3, 10)
+    certificate = opinf.infer_operators([(np.eye(3, 11), None)], 1)[2]
     assert certificate.condition_number == pytest.approx(1.0)
     assert certificate.satisfied
     assert certificate.numerical_rank == 3
 
 
 def test_certify_too_few_columns():
-    data = opinf.DataMatrix(
-        matrix=np.eye(3, 2), reduced_dim=3, degree=1, input_dim=0
-    )
-    certificate = opinf.certify(data)
+    # D = eye(3, 2): two transitions for three unknowns per row
+    certificate = opinf.infer_operators([(np.eye(3, 3), None)], 1)[2]
     assert not certificate.satisfied
     assert certificate.num_columns == 2
     assert certificate.required_columns == 3
@@ -281,14 +273,15 @@ def test_certify_too_few_columns():
 
 def test_certify_condition_number_grows_with_dimension():
     # Re-projected toy data: conditioning worsens as n grows.
-    model = fom.make_toy_linear(seed=30)
-    conds = []
-    for n in (2, 4, 6):
-        basis = subspace.Basis(np.eye(10)[:, :n])
-        bar = opinf.reproject_sample(model, basis, np.eye(10)[:, 0], num_steps=100)
-        data = opinf.assemble_data_matrix(bar.X, None, degree=1, source="re-projected")
-        conds.append(opinf.certify(data).condition_number)
-    assert conds[0] <= conds[1] <= conds[2]
+    for seed in (30, 8):
+        model = fom.make_toy_linear(seed=seed)
+        conds = []
+        for n in (2, 4, 6):
+            basis = subspace.Basis(np.eye(10)[:, :n])
+            bar = opinf.reproject_sample(model, basis, np.eye(10)[:, 0], num_steps=100)
+            certificate = opinf.infer_operators([(bar.states, None)], 1, "re-projected")[2]
+            conds.append(certificate.condition_number)
+        assert conds[0] <= conds[1] <= conds[2], seed
 
 
 def test_learn_with_reprojection_invariant_subspace():
@@ -409,10 +402,10 @@ def test_reprojected_data_cuts_a_diverging_piece_like_its_single_run():
     assert 1 < singles[1].diverged_at < 40
     pieces, = opinf.reprojected_data([model], basis, [starts], [inputs])
     X, Y, U = _transitions(pieces)
-    data = opinf.assemble_data_matrix(X, U, model.degree, source="re-projected")
+    data = opinf.assemble_data_matrix(X, U, model.degree)
     X_ref, Y_ref, U_ref = _transitions([(s.states, U) for s, U in zip(singles, inputs)])
-    ref = opinf.assemble_data_matrix(X_ref, U_ref, model.degree, source="re-projected")
-    assert data.num_columns == 80 + singles[1].diverged_at - 1
+    ref = opinf.assemble_data_matrix(X_ref, U_ref, model.degree)
+    assert data.matrix.shape[1] == 80 + singles[1].diverged_at - 1
     # the blow-up before the overflow amplifies rounding, so entrywise
     assert np.allclose(data.matrix, ref.matrix, rtol=1e-10, atol=0.0)
     assert np.allclose(Y, Y_ref, rtol=1e-10, atol=0.0)
@@ -491,12 +484,17 @@ def _fits(monkeypatch, pieces, degree):
 
 
 def _check_spectrum(certificate, pieces, degree):
-    """The certificate's spectrum, and that of `certify`, are the singular
-    values of the row-equilibrated data matrix."""
+    """The certificate's spectrum, and that of a fit to the same transitions
+    with each piece cut in two at its middle state, are the singular values
+    of the row-equilibrated data matrix."""
     X, _, U = _transitions(pieces)
     s = la.svdvals(_equilibrated(X, U, degree)[0])
-    data = opinf.assemble_data_matrix(X, U, degree, source="re-projected")
-    for values in (certificate.singular_values, opinf.certify(data).singular_values):
+    halves = []
+    for states, U_l in pieces:
+        m = states.shape[1] // 2
+        halves += [(states[:, : m + 1], U_l), (states[:, m:], None if U_l is None else U_l[:, m:])]
+    split = opinf.infer_operators(halves, degree, "re-projected")[2]
+    for values in (certificate.singular_values, split.singular_values):
         assert values.shape == s.shape
         assert np.abs(values - s).max(initial=0.0) <= 1e-13 * s.max(initial=0.0)
 
