@@ -111,6 +111,18 @@ def test_metrics_invariant_under_list_permutation():
     assert forward.value == pytest.approx(shuffled.value, rel=1e-14)
 
 
+def test_condition_number_toy_trend():
+    # The cond of the fit's certificate grows with n on re-projected toy data.
+    model = fom.make_toy_linear(seed=8)
+    conds = []
+    for n in (2, 4, 6):
+        basis = subspace.Basis(np.eye(10)[:, :n])
+        bar = opinf.reproject_sample(model, basis, np.eye(10)[:, 0], num_steps=100)
+        certificate = opinf.infer_operators([(bar.states, None)], 1)[2]
+        conds.append(certificate.condition_number)
+    assert conds[0] <= conds[1] <= conds[2]
+
+
 def _random_linear_setup(seed, N=10, n=2, in_span=False):
     rng = np.random.default_rng(seed)
     A1 = rng.uniform(0.0, 1.0, (N, N))
