@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polytensor import compressed_dim, compressed_power_matrix, symmetrized_compressed_power
+from .polytensor import compressed_dim, compressed_powers, symmetrized_compressed_power
 
 
 class NumericalFailure(RuntimeError):
@@ -277,47 +277,76 @@ def _windows(step, x0, U, num_steps, width=None):
     the index of the first non-finite one.  In a block only a non-finite
     column stops, frozen at its last finite state from then on, so its
     overflow never reaches the states; diverged_at is the (m,) array of
-    `Trajectory` so far, or None while every column is finite.  The
-    per-column test runs only on a step whose whole-block check fails.
+    `Trajectory` so far, or None while every column is finite.
+
+    `step` gets the current state and input as C-contiguous arrays of their
+    own, not as strided views of the window.  Finiteness is screened once
+    per window, by the sum of its states: only a window whose sum is not
+    finite is scanned step by step (`_cut_at_divergence`).  A column that
+    diverges is stepped on until the window ends, so this needs `step` to
+    advance the columns of a block independently of one another, which
+    every step of the package does: a column's inf or nan never reaches
+    another column.  It also costs the steps left in the window; `_run`
+    has a single window, so a diverging run of it steps to its end.
     """
-    x0 = np.asarray(x0, dtype=float)
-    if not np.isfinite(x0).all():
+    x = np.array(x0, dtype=float, order="C")
+    if not np.isfinite(x).all():
         raise ValueError("x0 must be finite")
     if width is None:
-        width = max(_WINDOW_BYTES // (8 * x0.size), 1)
+        width = max(_WINDOW_BYTES // (8 * x.size), 1)
     width = min(width, num_steps)
-    states = np.empty((x0.shape[0], width + 1) + x0.shape[1:])
-    states[:, 0] = x0
-    diverged_at = np.zeros(x0.shape[1], dtype=int) if x0.ndim == 2 else None
+    states = np.empty((x.shape[0], width + 1) + x.shape[1:])
+    states[:, 0] = x
+    diverged_at = np.zeros(x.shape[1], dtype=int) if x.ndim == 2 else None
     frozen = None
     k = 0
     while True:
         w = min(width, num_steps - k)
+        # time first: the input of each step is one contiguous (p[, m]) slice
+        inputs = None if U is None else np.moveaxis(U[:, k : k + w], 1, 0).copy()
         # divergence is detected, not propagated: overflow warnings are
         # expected (the error state is left before each yield)
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(w):
-                x = step(states[:, j], None if U is None else U[:, k + j])
+                stepped = step(x, None if inputs is None else inputs[j])
                 if frozen is not None:
-                    np.copyto(x, states[:, j], where=frozen)
-                if not np.isfinite(x).all():
-                    if diverged_at is None:
-                        break
-                    bad = ~np.isfinite(x).all(axis=0)
-                    diverged_at[bad] = k + j + 1
-                    frozen = diverged_at > 0
-                    np.copyto(x, states[:, j], where=bad)
+                    np.copyto(stepped, x, where=frozen)
+                x = np.ascontiguousarray(stepped)
                 states[:, j + 1] = x
-            else:
-                j = w
-        if j < w:  # the single run stopped
-            yield k, states[:, : j + 1], k + j + 1
-            return
+            # any inf or nan makes the sum non-finite; a sum that overflows
+            # from finite states only costs the scan
+            finite = np.isfinite(states[:, 1 : w + 1].sum())
+        if not finite:
+            stop = _cut_at_divergence(states[:, : w + 1], k, diverged_at)
+            if stop is not None:  # the single run stopped
+                yield k, states[:, :stop], k + stop
+                return
+            x = states[:, w].copy()
+            if diverged_at is not None and diverged_at.any():
+                frozen = diverged_at > 0
         yield k, states[:, : w + 1], None if frozen is None else diverged_at
         k += w
         if k == num_steps:
             return
-        states[:, 0] = states[:, w]
+        states[:, 0] = x
+
+
+def _cut_at_divergence(states, k, diverged_at):
+    """Scan the window states x_k .. x_{k+w} of `_windows` step by step for
+    the first non-finite state.  A single run (diverged_at None) returns
+    its index in the window, or None if all are finite.  In a block each
+    column found non-finite gets its index k + j in diverged_at, and from
+    there on to the window's end it holds its last finite state; returns
+    None."""
+    for j in range(1, states.shape[1]):
+        finite = np.isfinite(states[:, j]).all(axis=0)
+        if diverged_at is None:
+            if not finite:
+                return j
+            continue
+        diverged_at[~finite & (diverged_at == 0)] = k + j
+        np.copyto(states[:, j], states[:, j - 1], where=diverged_at > 0)
+    return None
 
 
 def _run(step, x0, U, num_steps):
@@ -400,9 +429,11 @@ def _model_from_compressed(operators, input_matrix, parameter=None, label="fom")
         return lambda *ws: A @ symmetrized_compressed_power(ws)
 
     def step_impl(x, u):
-        out = operators[0] @ x
-        for i in range(2, degree + 1):
-            out += operators[i - 1] @ compressed_power_matrix(x, i)
+        powers = compressed_powers(x, degree)
+        out, start = operators[0] @ powers[:state_dim], state_dim
+        for A in operators[1:]:
+            out += A @ powers[start : start + A.shape[1]]
+            start += A.shape[1]
         if input_matrix is not None:
             out += input_matrix @ u
         return out
@@ -492,7 +523,10 @@ def make_chafee_infante(dt=1e-5, num_nodes=128):
 
     Dirichlet x(0) = u(t) is eliminated into the input matrix; the Neumann
     condition at xi = 1 uses a mirrored ghost node.  Parameter-free; the
-    degree-2 slot is present but identically zero.
+    degree-2 slot is present but identically zero.  The step cubes by
+    products, x * x * x, as the degree-3 form does: numpy's float power
+    calls libm `pow`, which is many times slower on negative entries, and
+    the lifted states V z of re-projection have both signs.
     """
     N = num_nodes
     h = 1.0 / N
@@ -515,7 +549,7 @@ def make_chafee_infante(dt=1e-5, num_nodes=128):
         lap[1:-1] = x[2:] - 2.0 * x[1:-1] + x[:-2]
         lap[0] = x[1] - 2.0 * x[0] + u[0]
         lap[-1] = 2.0 * x[-2] - 2.0 * x[-1]
-        return x + dt * (lap / h**2 + x - x**3)
+        return x + dt * (lap / h**2 + x - x * x * x)
 
     return FullOrderModel(
         state_dim=N,

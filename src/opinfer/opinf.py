@@ -16,7 +16,7 @@ import numpy as np
 
 from . import fom as _fom
 from . import subspace as _subspace
-from .polytensor import compressed_dim, compressed_power_matrix
+from .polytensor import compressed_dim, compressed_powers
 from .rom import PolynomialModel
 from .subspace import basis_matrix
 
@@ -123,7 +123,7 @@ def assemble_data_matrix(states, U, degree):
         raise ValueError(f"states must be 2-D, got shape {states.shape}")
     if not np.isfinite(states).all():
         raise ValueError("states must be finite")
-    blocks = [compressed_power_matrix(states, i) for i in range(1, degree + 1)]
+    matrix = compressed_powers(states, degree)
     p = 0
     if U is not None:
         U = np.asarray(U, dtype=float)
@@ -131,10 +131,10 @@ def assemble_data_matrix(states, U, degree):
             raise ValueError(
                 f"states have {states.shape[1]} columns but U has {U.shape[1]}"
             )
-        blocks.append(U)
+        matrix = np.vstack([matrix, U])
         p = U.shape[0]
     return DataMatrix(
-        matrix=np.vstack(blocks),
+        matrix=matrix,
         reduced_dim=states.shape[0],
         degree=degree,
         input_dim=p,

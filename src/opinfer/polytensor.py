@@ -5,7 +5,7 @@ x (x) ... (x) x with duplicate entries (equal up to commutativity) removed.
 Every operation in this package that touches polynomial terms relies on the
 single ordering convention fixed here: monomials are indexed by sorted index
 tuples, enumerated lexicographically (`multiset_indices`), and
-`compressed_power_matrix` evaluates them.
+`compressed_powers` evaluates them.
 """
 
 import math
@@ -57,24 +57,65 @@ def multiplicity(alpha):
     return count
 
 
-def compressed_power_matrix(X, degree):
-    """Compressed powers of a state vector (n,) or of each column of an (n, K)
-    block, shape (n_i,) or (n_i, K): the one monomial kernel of the package.
+def compressed_powers(X, degree):
+    """The stacked compressed powers [X; X^2; ..; X^degree] of a state vector
+    (n,) or of each column of an (n, K) block, shape (sum_i n_i[, K]): the
+    one monomial kernel of the package.
 
     The entry at index tuple (a_1, ..., a_i) is the monomial
-    x[a_1] * ... * x[a_i]; for degree 1 the values are x itself.
+    x[a_1] * ... * x[a_i], multiplied in that order.  Each degree is built
+    from the one before with one gather and one product (`_power_plan`), in
+    place in the output, so every degree equals the factor-by-factor
+    product bit for bit and no (n_i, degree, K) intermediate is formed.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim not in (1, 2):
         raise ValueError(f"expected a vector or a matrix, got shape {X.shape}")
-    if degree == 1:
-        return X.copy()
-    # multiply factor by factor; avoids an (n_i, degree, K) intermediate
-    idx = multiset_indices(X.shape[0], degree)
-    out = X[idx[:, 0]]
-    for j in range(1, degree):
-        out *= X[idx[:, j]]
+    if degree < 1:
+        raise ValueError(f"need degree >= 1, got {degree}")
+    rows, plan = _power_plan(X.shape[0], degree)
+    out = np.empty((rows,) + X.shape[1:])
+    out[: X.shape[0]] = X
+    for lower, block, prefix, last in plan:
+        # mode="clip" writes straight into `out`; the indices are in range
+        np.take(out[lower], prefix, axis=0, out=out[block], mode="clip")
+        out[block] *= X[last]
     return out
+
+
+def compressed_power_matrix(X, degree):
+    """The degree-`degree` block of `compressed_powers`, shape (n_i,) or
+    (n_i, K); for degree 1 the values are x itself."""
+    powers = compressed_powers(X, degree)
+    return powers[len(powers) - compressed_dim(np.shape(X)[0], degree) :]
+
+
+@lru_cache(maxsize=None)
+def _power_plan(base_dim, degree):
+    """The rows of `compressed_powers` and, per degree i = 2 .. degree, the
+    slices of the degree-(i-1) and degree-i blocks and index arrays
+    (prefix, last): monomial k of degree i is monomial prefix[k] of degree
+    i - 1 times x[last[k]].
+
+    In the lexicographic order of `multiset_indices` the tuples that share
+    their leading i - 1 indices are consecutive, in the order of those
+    prefixes, and a prefix ending in a is followed by a, a+1, .., n-1.
+    """
+    offsets = [0]
+    for i in range(1, degree + 1):
+        offsets.append(offsets[-1] + compressed_dim(base_dim, i))
+    plan = []
+    for i in range(2, degree + 1):
+        lead = multiset_indices(base_dim, i - 1)[:, -1]
+        counts = base_dim - lead
+        prefix = np.repeat(np.arange(lead.size), counts)
+        # runs lead[k], .., base_dim - 1, one after the other
+        last = np.arange(prefix.size) + np.repeat(lead - (np.cumsum(counts) - counts), counts)
+        for a in (prefix, last):
+            a.setflags(write=False)
+        lower, block = slice(*offsets[i - 2 : i]), slice(*offsets[i - 1 : i + 1])
+        plan.append((lower, block, prefix, last))
+    return offsets[-1], tuple(plan)
 
 
 def symmetrized_compressed_power(vectors):

@@ -1,7 +1,6 @@
 """Reduced polynomial models: Galerkin projection, simulation, truncation and
 parameter interpolation."""
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -9,7 +8,7 @@ import numpy as np
 from . import fom as _fom
 from .polytensor import (
     compressed_dim,
-    compressed_power_matrix,
+    compressed_powers,
     multiset_indices,
     multiplicity,
     truncation_mask,
@@ -68,10 +67,11 @@ class PolynomialModel:
     def step(self, z, u=None):
         """One reduced time step of a state (n,) or of each column of a block
         (n, m), whose inputs are then (p, m)."""
-        z = np.asarray(z, dtype=float)
-        out = self.operators[0] @ z
-        for i in range(2, self.degree + 1):
-            out += self.operators[i - 1] @ compressed_power_matrix(z, i)
+        powers = compressed_powers(z, self.degree)
+        out, start = self.operators[0] @ powers[: self.reduced_dim], self.reduced_dim
+        for A in self.operators[1:]:
+            out += A @ powers[start : start + A.shape[1]]
+            start += A.shape[1]
         if self.input_matrix is not None:
             out += self.input_matrix @ np.atleast_1d(np.asarray(u, dtype=float))
         return out
@@ -141,10 +141,17 @@ def simulate_truncations(groups, dims, num_steps):
     block of states, n_max = max(dims): C is len(dims) times the sum of
     len(models) * m over the groups.  An entry steps `truncate(model, n)`
     on the leading n rows of its columns and leaves the rows from n on
-    exactly zero.  Each step forms the monomials and inputs [z; z^2; ..; u]
-    of every column at n_max once; the consecutive entries of one n and one
-    width take the rows of their own monomials (`truncation_mask`) and step
-    as one batched product with their `stacked` operators [A_1 .. A_ell B].
+    exactly zero.
+
+    Each model is truncated once, to n_max, and steps its columns of every
+    n with those operators; after each step the rows from n on of a column
+    of dimension n are set back to zero.  That is `truncate(model, n)`: the
+    monomials of the trailing modes are then exactly zero, so the operator
+    columns that truncation drops add exact zeros, and only the order of
+    the sums in the product can round differently.  Each step forms the
+    monomials and inputs [z; z^2; ..; u] of every column once, and the
+    models of all groups of one input width m step as one batched product
+    of their `stacked` operators [A_1 .. A_ell B], stored once per model.
     Returns the windows (k, states, diverged_at) of `fom._windows`, states
     (n_max, w+1, C).  A diverged entry only freezes its own columns.
     """
@@ -161,39 +168,46 @@ def simulate_truncations(groups, dims, num_steps):
     n_max, degree = max(dims), template.degree
     widths = [1 if U is None else U.shape[2] for U in inputs]
     firsts = np.cumsum([0, *widths])  # the first input column of each group
+    # the first state column of each group at one n
+    starts = np.cumsum([0] + [len(group) * m for (group, _), m in zip(groups, widths)])
+    per_n = starts[-1]  # the state columns of one n
 
-    # runs of the entries of one n and of consecutive groups of one width m:
-    # (n, the rows of their monomials and inputs, their stacked operators,
-    # their state columns, m), and the input column of every state column
-    offsets = np.cumsum([0] + [compressed_dim(n_max, i) for i in range(1, degree + 1)])
-    runs, input_cols, col = [], [], 0
-    for n in dims:
-        monomials = [
-            start + np.flatnonzero(truncation_mask(n_max, i, n))
-            for i, start in enumerate(offsets[:-1], start=1)
-        ]
-        rows = np.concatenate(monomials + [offsets[-1] + np.arange(template.input_dim)])
-        for m, members in itertools.groupby(range(len(groups)), key=widths.__getitem__):
-            members = list(members)
-            small = [truncate(model, n) for g in members for model in groups[g][0]]
-            cols = slice(col, col + len(small) * m)
-            runs.append((n, rows, np.stack([model.stacked() for model in small]), cols, m))
-            input_cols += [np.tile(firsts[g] + np.arange(m), len(groups[g][0])) for g in members]
-            col += len(small) * m
-    input_cols = np.concatenate(input_cols)
+    # per width m: the stacked operators of its models, and the state
+    # columns of each model, m for each n
+    products = []
+    for m in sorted(set(widths)):
+        members = [g for g, width in enumerate(widths) if width == m]
+        operators = np.stack(
+            [truncate(model, n_max).stacked() for g in members for model in groups[g][0]]
+        )
+        cols = np.stack([
+            (per_n * np.arange(len(dims))[:, None] + starts[g] + j * m + np.arange(m)).ravel()
+            for g in members
+            for j in range(len(groups[g][0]))
+        ])
+        products.append((operators, cols))
+    # the input column of every state column, and the rows to reset to zero
+    input_cols = np.tile(
+        np.concatenate([np.tile(first + np.arange(m), len(group))
+                        for (group, _), first, m in zip(groups, firsts, widths)]),
+        len(dims),
+    )
+    trailing = np.arange(n_max)[:, None] >= np.repeat(dims, per_n)
     U = None if template.input_dim == 0 else np.concatenate(inputs, axis=2)
 
     def step(z, u):
-        monomials = [z] + [compressed_power_matrix(z, i) for i in range(2, degree + 1)]
-        data = np.concatenate(monomials + ([] if u is None else [u[:, input_cols]]))
-        out = np.zeros_like(z)
-        for n, rows, operators, cols, m in runs:
-            # one (rows, m) block per entry
-            own = data[rows, cols].reshape(len(rows), -1, m).transpose(1, 0, 2)
-            out[:n, cols] = np.matmul(operators, own).transpose(1, 0, 2).reshape(n, -1)
+        data = compressed_powers(z, degree)
+        if u is not None:
+            data = np.concatenate([data, u[:, input_cols]])
+        out = np.empty_like(z)
+        for operators, cols in products:
+            # one (rows, len(dims) * m) block per model
+            own = data[:, cols].transpose(1, 0, 2)
+            out[:, cols] = np.matmul(operators, own).transpose(1, 0, 2)
+        np.copyto(out, 0.0, where=trailing)
         return out
 
-    return _fom._windows(step, np.zeros((n_max, col)), U, num_steps)
+    return _fom._windows(step, np.zeros((n_max, per_n * len(dims))), U, num_steps)
 
 
 def truncate(model, new_dim):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -450,3 +452,83 @@ def test_mixed_block_failure_names_the_earliest_step_of_any_parameter():
     assert list(block.diverged_at) == [0, 0, single]
     with pytest.raises(fom.NumericalFailure, match=f"diverged at step {single}$"):
         fom._fail_if_diverged(block.diverged_at)
+
+
+def _contiguity_recorded(step, seen):
+    """`step` that records, per call, whether its state and input arrays are
+    C-contiguous (an input-free call counts as contiguous)."""
+
+    def recorded(x, u):
+        seen.append(x.flags.c_contiguous and (u is None or u.flags.c_contiguous))
+        return step(x, u)
+
+    return recorded
+
+
+def test_windows_step_only_contiguous_states_and_inputs(monkeypatch):
+    """The step never sees a strided view of the window buffer: not for a
+    single run, not for a block, not across windows and not once a column of
+    the block is frozen.  Two input rows make an input column strided in
+    the (p, K[, m]) inputs.  Nothing warns."""
+    model = fom.make_random_polynomial(6, 2, input_dim=2, seed=2)
+    rng = np.random.default_rng(28)
+    X0 = 0.1 * rng.normal(size=(6, 3))
+    U = rng.uniform(-1.0, 1.0, (2, 40, 3))
+    U[:, :, 2] = 100.0  # this column diverges at step 13
+    cases = [(X0[:, 0], U[:, :, 0], False), (X0[:, :2], U[:, :, :2], False), (X0, U, True)]
+    for x0, u, freezes in cases:
+        for steps in (7, 40):  # several windows, and one
+            monkeypatch.setattr(fom, "_WINDOW_BYTES", steps * 8 * x0.size)
+            seen = []
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                states, diverged_at = _joined(
+                    fom._windows(_contiguity_recorded(model.block_step, seen), x0, u, 40)
+                )
+            assert len(seen) == 40 and all(seen)
+            assert np.array_equal(states, fom.simulate(model, x0, u).states)
+            assert np.count_nonzero(diverged_at) == freezes
+    assert list(fom.simulate(model, X0, U).diverged_at) == [0, 0, 13]
+
+
+@pytest.mark.parametrize("steps", [7, 30])
+def test_block_columns_diverging_inside_one_window_equal_their_single_runs(monkeypatch, steps):
+    """Columns that diverge at steps 17 and 18 of the window x_14 .. x_21,
+    and one that diverges at its last state x_21, each stop as their own
+    `simulate` does, bit for bit (Burgers steps a block column by column
+    like a single run), and the finite column steps on; nothing warns."""
+    model = fom.make_burgers(0.9, dt=4e-3, num_nodes=32)  # unstable step
+    v = np.random.default_rng(29).normal(size=32)
+    X0 = np.column_stack([scale * v for scale in (1e-12, 0.5, 0.2, 0.02)])
+    U = np.zeros((1, 30, 4))
+    singles = [fom.simulate(model, X0[:, l], U[:, :, l]) for l in range(4)]
+    assert [single.diverged_at for single in singles] == [None, 17, 18, 21]
+    monkeypatch.setattr(fom, "_WINDOW_BYTES", steps * 8 * X0.size)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        states, diverged_at = _joined(fom._windows(model.block_step, X0, U, 30))
+        block = fom.simulate(model, X0, U)
+    assert list(diverged_at) == list(block.diverged_at) == [0, 17, 18, 21]
+    assert np.array_equal(states, block.states)
+    assert np.array_equal(states[:, :, 0], singles[0].states)
+    for l, single in enumerate(singles[1:], start=1):
+        end = single.diverged_at
+        assert np.array_equal(states[:, :end, l], single.states)
+        assert np.all(states[:, end:, l] == single.states[:, -1:])
+
+
+def test_window_sum_overflow_of_finite_states_is_no_divergence(monkeypatch):
+    """States near the largest double are finite though the sum of a
+    window of them overflows: no run diverges, and nothing warns."""
+    model = fom._model_from_compressed([np.eye(3)], None)
+    x0 = np.full(3, 1.5e308)
+    X0 = np.column_stack([x0, -x0, np.ones(3)])
+    monkeypatch.setattr(fom, "_WINDOW_BYTES", 5 * 8 * X0.size)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for start in (x0, X0):
+            single = fom.simulate(model, start, num_steps=12)
+            assert single.diverged_at is None
+            assert np.all(single.states == np.expand_dims(start, 1))
+            states, diverged_at = _joined(fom._windows(model.block_step, start, None, 12))
+            assert diverged_at is None and np.array_equal(states, single.states)

@@ -1,3 +1,5 @@
+from functools import reduce
+
 import kron_oracles as ko
 import numpy as np
 import pytest
@@ -149,6 +151,27 @@ def test_compressed_power_matrix_is_the_columnwise_power():
             assert np.array_equal(block[:, j], column)
     with pytest.raises(ValueError):
         pt.compressed_power_matrix(np.zeros((2, 2, 2)), 2)
+
+
+def test_compressed_powers_stack_every_degree_bitwise():
+    """[X; X^2; ..] equals the stacked single degrees and, bit for bit, the
+    factor-by-factor products ((x_a x_b) x_c) .. over the index tuples."""
+    rng = np.random.default_rng(7)
+    for n in range(1, 11):
+        for degree in range(1, 5):
+            for X in (rng.normal(size=n), rng.normal(size=(n, 3))):
+                powers = pt.compressed_powers(X, degree)
+                stacked = [pt.compressed_power_matrix(X, i) for i in range(1, degree + 1)]
+                assert np.array_equal(powers, np.concatenate(stacked))
+                products = [
+                    reduce(np.multiply, (X[idx] for idx in pt.multiset_indices(n, i).T))
+                    for i in range(1, degree + 1)
+                ]
+                assert np.array_equal(powers, np.concatenate(products))
+    with pytest.raises(ValueError):
+        pt.compressed_powers(np.zeros((2, 2, 2)), 2)
+    with pytest.raises(ValueError):
+        pt.compressed_powers(np.zeros(2), 0)
 
 
 def test_symmetrized_compressed_power_reduces_to_power():
