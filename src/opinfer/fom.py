@@ -302,13 +302,14 @@ def _windows(step, x0, U, num_steps, width=None):
     k = 0
     while True:
         w = min(width, num_steps - k)
-        # time first: the input of each step is one contiguous (p[, m]) slice
-        inputs = None if U is None else np.moveaxis(U[:, k : k + w], 1, 0).copy()
+        # an input column (p[, m]) is copied only where it is strided (p > 1),
+        # never the inputs of a whole window: `_run` has only one
+        inputs = None if U is None else np.moveaxis(U[:, k : k + w], 1, 0)
         # divergence is detected, not propagated: overflow warnings are
         # expected (the error state is left before each yield)
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(w):
-                stepped = step(x, None if inputs is None else inputs[j])
+                stepped = step(x, None if inputs is None else np.ascontiguousarray(inputs[j]))
                 if frozen is not None:
                     np.copyto(stepped, x, where=frozen)
                 x = np.ascontiguousarray(stepped)
