@@ -581,7 +581,7 @@ def _evaluate(config, groups):
     diff_sq = np.zeros((len(dims), bounds[-1]))
     norm_sq = np.zeros((len(dims), bounds[-1]))
     diverged = np.zeros((len(dims), bounds[-1]), dtype=bool)
-    stack = [(models, fom._input_block(inputs, K)) for _, _, models, _, _, inputs in groups]
+    stack = [(models, inputs) for _, _, models, _, _, inputs in groups]
     for k, states, diverged_at in rom.simulate_truncations(stack, dims, K):
         w = states.shape[1] - 1
         if diverged_at is not None:

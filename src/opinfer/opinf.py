@@ -151,14 +151,17 @@ def _fold(chunks, width, waiting=None):
     Fortran-ordered buffer of `width` + `waiting` rows: by default as many
     waiting rows as fill one window of `fom._WINDOW_BYTES`, but at least
     `width`, since a fold costs about (1 + width / waiting) times the QR of
-    its waiting rows alone.  Whenever the buffer is full, which may split a
-    chunk, it is folded in place by `subspace.fold_rows` and its R copied
-    back to the top.  The first fold comes as soon as more than `width`
-    rows have come in `waiting` rows, so that chunks of `waiting` rows fold
-    one by one, and otherwise once the buffer is full: up to `width` rows
-    fold alike whether or not they are folded first.  The rows that wait at
-    the end are folded too.  So only R, the buffer and one chunk are held at
-    a time.
+    its waiting rows alone.  Whenever the buffer is full and more rows come,
+    which may split a chunk, it is folded in place by `subspace.fold_rows`,
+    which leaves R at the top of the buffer.  When `waiting` exceeds
+    `width`, the first fold takes the first `waiting` rows alone, so that
+    chunks of `waiting` rows fold one by one: they are closed up to a
+    shorter buffer, and its R, (width, width), moves to the top of the full
+    one.  Otherwise the first fold comes once the buffer is full: up to
+    `width` rows fold alike whether or not they are folded first.  The rows
+    that wait at the end are folded too.  So only the buffer and one chunk
+    are held at a time, and the R returned is a view of the buffer, which
+    lives as long as R does.
     """
     waiting = waiting or max(width, _fom._WINDOW_BYTES // (8 * width))
     flat = np.empty((width + waiting) * width)
@@ -179,6 +182,15 @@ def _fold(chunks, width, waiting=None):
     for parts in chunks:
         done, count = 0, parts[0].shape[1]
         while done < count:
+            if filled == limit:
+                R = fold(filled)
+                top = filled = len(R)
+                if limit < len(rows):
+                    # back to the open buffer's order: moving the columns in
+                    # reverse overwrites only columns already moved
+                    for j in reversed(range(width)):
+                        rows[:top, j] = R[:, j]
+                limit = len(rows)
             take = min(count - done, limit - filled)
             col = 0
             for part in parts:
@@ -186,14 +198,9 @@ def _fold(chunks, width, waiting=None):
                 col += len(part)
             done += take
             filled += take
-            if filled == limit:
-                R = fold(filled)
-                top = filled = len(R)
-                rows[:top] = R
-                del R
-                limit = len(rows)
-        del parts  # or it keeps the producer's buffer while the next is made
-    return fold(filled) if filled > top else rows[:top].copy()
+        # or they keep the producer's buffer while the next is made
+        parts = part = None
+    return fold(filled) if filled > top else rows[:top]
 
 
 def _equilibrated_svd(R11):
@@ -308,7 +315,9 @@ def infer_operators(pieces, degree, source="projected"):
                 data = assemble_data_matrix(states[:, a:b], None if U is None else U[:, a:b], degree)
                 yield data.matrix, states[:, a + 1 : b + 1]
 
-    R = _fold(chunks(), r + n, length)
+    # a C-ordered copy of the small triangle: the column norms and products
+    # below then reduce in the same order whatever layout the fold leaves
+    R = np.ascontiguousarray(_fold(chunks(), r + n, length))
     R11, R12, R22 = R[:r, :r], R[:r, r:], R[r:, r:]
     w, U_s, s, Wt = _equilibrated_svd(R11)
     certificate = _certificate(s, K, r)

@@ -23,7 +23,11 @@ class PolynomialModel:
     """Reduced system x_{k+1} = sum_i A_i x_k^i + B u_k on compressed powers.
 
     `operators[i-1]` has shape (n, compressed_dim(n, i)); `provenance` records
-    how the model was obtained (one of PROVENANCES).
+    how the model was obtained (one of PROVENANCES).  The operators and the
+    input matrix are stored C-ordered: a product with a Fortran-ordered one,
+    such as a slice of a transposed fit, rounds by the alignment of the
+    vector it multiplies, so a step's bits would depend on where its state
+    happens to lie.
     """
 
     operators: tuple
@@ -33,10 +37,12 @@ class PolynomialModel:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "operators", tuple(np.asarray(A, dtype=float) for A in self.operators)
+            self, "operators", tuple(np.ascontiguousarray(A, dtype=float) for A in self.operators)
         )
         if self.input_matrix is not None:
-            object.__setattr__(self, "input_matrix", np.asarray(self.input_matrix, float))
+            object.__setattr__(
+                self, "input_matrix", np.ascontiguousarray(self.input_matrix, dtype=float)
+            )
         if self.provenance not in PROVENANCES:
             raise ValueError(f"unknown provenance {self.provenance!r}")
         n = self.operators[0].shape[0]
@@ -134,11 +140,13 @@ def simulate_truncations(groups, dims, num_steps):
     """Every model of every group truncated to every n of `dims`, stepped
     from zero as one stack in one time loop.
 
-    `groups` holds pairs (models, U): each model of a group runs on each of
-    the m input columns of its U (p, K, m), or on one column without inputs
-    (U None).  The stack entries, one per (n, group, model) in that order,
-    take m columns each, their own inputs, side by side in an (n_max, C)
-    block of states, n_max = max(dims): C is len(dims) times the sum of
+    `groups` holds pairs (models, inputs): each model of a group runs on each
+    of the group's m input trajectories (p, >= num_steps), or on one column
+    without inputs (inputs None).  The inputs of all groups are cut to
+    `num_steps` columns and stacked once, into one (p, num_steps, sum m)
+    block.  The stack entries, one per (n, group, model) in that order, take
+    m columns each, their own inputs, side by side in an (n_max, C) block of
+    states, n_max = max(dims): C is len(dims) times the sum of
     len(models) * m over the groups.  An entry steps `truncate(model, n)`
     on the leading n rows of its columns and leaves the rows from n on
     exactly zero.
@@ -159,14 +167,15 @@ def simulate_truncations(groups, dims, num_steps):
     models = [model for group, _ in groups for model in group]
     if any((mod.degree, mod.input_dim) != (template.degree, template.input_dim) for mod in models):
         raise ValueError("models disagree in degree or input dimension")
-    inputs = []
-    for _, U in groups:
+    U = None
+    widths = [1] * len(groups)
+    if template.input_dim:
+        if any(inputs is None for _, inputs in groups):
+            raise ValueError("models have inputs; provide them for every group")
+        widths = [len(inputs) for _, inputs in groups]
+        U = _fom._input_block([u for _, inputs in groups for u in inputs], num_steps)
         U = _fom._input_columns(template, U, num_steps)[0]
-        if U is not None and U.ndim != 3:
-            raise ValueError(f"inputs must have shape (p, K, m), got {U.shape}")
-        inputs.append(None if U is None else U[:, :num_steps])
     n_max, degree = max(dims), template.degree
-    widths = [1 if U is None else U.shape[2] for U in inputs]
     firsts = np.cumsum([0, *widths])  # the first input column of each group
     # the first state column of each group at one n
     starts = np.cumsum([0] + [len(group) * m for (group, _), m in zip(groups, widths)])
@@ -193,7 +202,6 @@ def simulate_truncations(groups, dims, num_steps):
         len(dims),
     )
     trailing = np.arange(n_max)[:, None] >= np.repeat(dims, per_n)
-    U = None if template.input_dim == 0 else np.concatenate(inputs, axis=2)
 
     def step(z, u):
         data = compressed_powers(z, degree)

@@ -51,17 +51,19 @@ class Basis:
 
 def fold_rows(rows):
     """Triangular factor R, shape (min(M, N), N), of the QR factorization of
-    the rows (M, N), which are overwritten.
+    the rows (M, N), which are overwritten: R is the view of their leading
+    min(M, N) rows.
 
     Any rows [R_old; A] fold into the R of [S_old^T; A] when R_old is the R
     factor of S_old^T, since both have the same Gram matrix.  The rows must
     be a Fortran-ordered float64 array, which LAPACK geqrf factorizes in
-    place; only the triangle is copied out, so nothing of the M x N
-    factorization stays alive.  `np.linalg.qr` would first copy the rows,
-    which doubles the memory of `opinf._fold`'s buffer, so geqrf is called
-    here through numpy's own `numpy.linalg.lapack_lite`, a module numpy
-    ships but does not list as public.  It takes C-contiguous arrays only,
-    hence `rows.T`: the same memory, read by LAPACK as the M x N matrix.
+    place, leaving R on and above the diagonal; the Householder vectors
+    below it are zeroed column by column, so R needs no memory of its own.
+    `np.linalg.qr` would first copy the rows, which doubles the memory of
+    `opinf._fold`'s buffer, so geqrf is called here through numpy's own
+    `numpy.linalg.lapack_lite`, a module numpy ships but does not list as
+    public.  It takes C-contiguous arrays only, hence `rows.T`: the same
+    memory, read by LAPACK as the M x N matrix.
     """
     from numpy.linalg import lapack_lite
 
@@ -81,7 +83,10 @@ def fold_rows(rows):
         geqrf(work, -1)  # the workspace query writes the optimal size to work[0]
         lwork = max(N, int(work[0]))
         geqrf(np.empty(lwork), lwork)
-    return np.triu(rows[: min(M, N)])
+    R = rows[: min(M, N)]
+    for j in range(len(R) - 1):
+        R[j + 1 :, j] = 0.0
+    return R
 
 
 def _leading_svd(A, n, k):

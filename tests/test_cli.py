@@ -441,7 +441,7 @@ def test_evaluate_in_piece_groups_matches_single_runs(monkeypatch):
         return [(r["diverged"], r["avg_rel_error"], r["traj_diff"]) for r in rows]
 
     def windows():
-        return len(list(rom.simulate_truncations([(models, np.stack(inputs, axis=-1))], dims, K)))
+        return len(list(rom.simulate_truncations([(models, inputs)], dims, K)))
 
     assert windows() == 1
     whole = evaluate()

@@ -593,27 +593,71 @@ def test_reprojected_fit_memory_does_not_grow_beyond_its_samples():
 
 def test_fold_holds_r_one_buffer_and_one_chunk(monkeypatch):
     """`_fold` of N-wide rows that come in chunks smaller than N, so that
-    folds split them: its tracemalloc peak stays within R, its one buffer of
-    R and N waiting rows, and one chunk, plus the QR's small workspace (a
-    few percent at these sizes); its R has the Gram matrix of all rows."""
+    folds split them: its tracemalloc peak stays within its one buffer of R
+    and N waiting rows, where R stays, and one chunk, plus the QR's small
+    workspace (a few percent at these sizes); its R has the Gram matrix of
+    all rows."""
     N, rows, count = 400, 300, 12
     # windows of N rows of N doubles: N rows wait under R
     monkeypatch.setattr(fom, "_WINDOW_BYTES", 8 * N * N)
 
-    def chunks():
-        rng = np.random.default_rng(70)
+    def chunks(rng):
         for _ in range(count):
             yield (rng.standard_normal((N, rows)),)
 
+    # made before tracing, which would count the import of numpy.random
+    rng = np.random.default_rng(70)
     tracemalloc.start()
     try:
-        R = opinf._fold(chunks(), N)
+        R = opinf._fold(chunks(rng), N)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    held = 8 * (N * N + 2 * N * N + N * rows)
+    held = 8 * (2 * N * N + N * rows)
     assert peak <= 1.1 * held, (peak, held)
-    A = np.hstack([part for part, in chunks()]).T
+    A = np.hstack([part for part, in chunks(np.random.default_rng(70))]).T
     gram = A.T @ A
     assert R.shape == (N, N)
     assert np.abs(R.T @ R - gram).max() <= 1e-13 * np.abs(gram).max()
+
+
+def test_snapshot_basis_holds_the_fold_buffer_and_one_window(monkeypatch):
+    """`snapshot_basis` of N = 529 >= 512 states, whose buffer has N waiting
+    rows and folds full: its tracemalloc peak, POD included, stays within
+    the buffer, one window of states and the chunk copied from it, plus a
+    quarter of R for the QR's workspace; R itself stays in the buffer."""
+    g, m, K, steps = 23, 2, 800, 16
+    N = g * g
+    monkeypatch.setattr(fom, "_WINDOW_BYTES", 8 * N * m * steps)
+    model = fom.make_diffusion_reaction_2d(1.0, grid_points_per_dim=g)
+    inputs = [
+        fom.with_constant_channel(fom.random_input_trajectory(K, 1, 0.0, 1.0, seed=l))
+        for l in range(m)
+    ]
+    tracemalloc.start()
+    try:
+        basis, _ = opinf.snapshot_basis([model], [np.zeros(N)], [inputs], 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    buffer, R, window = 8 * 2 * N * N, 8 * N * N, 8 * N * m * (steps + 1)
+    assert peak <= buffer + 2 * window + R / 4, (peak, buffer, R, window)
+    assert basis.reduced_dim == 4
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_learned_model_steps_alike_on_strided_and_contiguous_states(degree):
+    """The operators that `infer_operators` returns are stored C-ordered, so
+    a step of a state that is a strided column of a window equals, bit for
+    bit, the step of a contiguous copy (an F-ordered operator's product
+    rounds by the alignment of the vector it multiplies)."""
+    rng = np.random.default_rng(80)
+    states = rng.uniform(-1.0, 1.0, (6, 301))
+    model = opinf.infer_operators([(states, rng.uniform(-1.0, 1.0, (1, 300)))], degree)[0]
+    assert all(A.flags.c_contiguous for A in (*model.operators, model.input_matrix))
+    # a window of states (n, w+1, m) and its inputs (p, w, m)
+    window = rng.uniform(-1.0, 1.0, (6, 41, 3))
+    inputs = rng.uniform(-1.0, 1.0, (1, 40, 3))
+    for j in range(40):
+        for z, u in ((window[:, j, 1], inputs[:, j, 1]), (window[:, j], inputs[:, j])):
+            assert np.array_equal(model.step(z, u), model.step(z.copy(), u.copy()))

@@ -185,7 +185,8 @@ def _stack_and_single_runs(models, dims, U, num_steps):
     """`simulate_truncations` of one group, all models on the inputs U, and
     per stack entry (n, model), the pair of n and the single runs of
     `reduced_simulate(truncate(model, n), ...)` from zero, one per piece."""
-    (_, states, diverged_at), = rom.simulate_truncations([(models, U)], dims, num_steps)
+    inputs = None if U is None else list(np.moveaxis(U, 2, 0))
+    (_, states, diverged_at), = rom.simulate_truncations([(models, inputs)], dims, num_steps)
     stack = fom.Trajectory(states, diverged_at)  # one window at these sizes
     m = 1 if U is None else U.shape[2]
     singles = [
@@ -272,7 +273,8 @@ def test_simulate_truncations_with_inputs_per_group_equals_single_runs():
         (models[:1], rng.uniform(-1.0, 1.0, (2, K, 1))),
         (models[1:], rng.uniform(-1.0, 1.0, (2, K, 2))),
     ]
-    (_, states, diverged_at), = rom.simulate_truncations(groups, dims, K)
+    stack = [(group, list(np.moveaxis(U, 2, 0))) for group, U in groups]
+    (_, states, diverged_at), = rom.simulate_truncations(stack, dims, K)
     assert diverged_at is None
     col = 0
     for n in dims:

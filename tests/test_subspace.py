@@ -142,14 +142,23 @@ def test_pod_sign_of_mirror_symmetric_modes_ignores_column_order(seed):
     assert np.abs(basis.matrix - shuffled.matrix).max() <= 1e-12
 
 
+def _is_leading_rows(R, rows):
+    """R views the leading len(R) rows of `rows`, in their layout."""
+    return (
+        R.__array_interface__["data"][0] == rows.__array_interface__["data"][0]
+        and R.strides == rows.strides
+        and R.shape == (min(rows.shape), rows.shape[1])
+    )
+
+
 @pytest.mark.parametrize("rows", [4, 30])
-def test_fold_rows_gives_the_r_factor_and_keeps_no_view(rows):
+def test_fold_rows_gives_the_r_factor_in_the_leading_rows(rows):
     A = np.random.default_rng(9).normal(size=(rows, 6))
     work = np.asfortranarray(A)
     R = subspace.fold_rows(work)
     assert R.shape == (min(rows, 6), 6)
     assert np.array_equal(R, np.triu(R))
-    assert not np.shares_memory(R, work)
+    assert _is_leading_rows(R, work)
     assert np.allclose(R.T @ R, A.T @ A, rtol=0.0, atol=1e-12 * np.linalg.norm(A) ** 2)
 
 
@@ -161,7 +170,9 @@ def test_fold_rows_equals_numpy_qr_bitwise_and_overwrites_the_rows(shape):
     R = subspace.fold_rows(work)
     assert np.array_equal(R, np.linalg.qr(A.copy(), mode="r"))
     assert not np.array_equal(work, A)
-    assert not np.shares_memory(R, work)
+    # R is the top of the overwritten rows, its strict lower triangle zero
+    assert _is_leading_rows(R, work)
+    assert np.all(np.tril(work[: len(R)], -1) == 0.0)
 
 
 def test_fold_rows_holds_tau_the_workspace_and_r():
@@ -175,9 +186,10 @@ def test_fold_rows_holds_tau_the_workspace_and_r():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # tau, the workspace, and R with np.triu's one-byte mask
-    held = 8 * (N + max(N, int(query[0]))) + 9 * R.size
+    # tau and the workspace: R lives in the rows
+    held = 8 * (N + max(N, int(query[0])))
     assert peak <= held + 4096, (peak, held)
+    assert _is_leading_rows(R, work)
 
 
 @pytest.mark.parametrize(
