@@ -524,33 +524,47 @@ def make_chafee_infante(dt=1e-5, num_nodes=128):
 
     Dirichlet x(0) = u(t) is eliminated into the input matrix; the Neumann
     condition at xi = 1 uses a mirrored ghost node.  Parameter-free; the
-    degree-2 slot is present but identically zero.  The step cubes by
-    products, x * x * x, as the degree-3 form does: numpy's float power
-    calls libm `pow`, which is many times slower on negative entries, and
-    the lifted states V z of re-projection have both signs.
+    degree-2 slot is present but identically zero.
+
+    The step is one fused stencil, a x + c s - dt x x x with
+    a = 1 + dt - 2 dt/h^2 and c = dt/h^2: s is the sum of the two
+    neighbours, written into the output, with its boundary rows patched
+    (the input u at xi = 0, the mirrored ghost 2 x_{N-2} at xi = 1).  It
+    cubes by products, as the degree-3 form does: numpy's float power calls
+    libm `pow`, which is many times slower on negative entries, and the
+    lifted states V z of re-projection have both signs.
     """
     N = num_nodes
     h = 1.0 / N
+    a, c = 1.0 + dt * (1.0 - 2.0 / h**2), dt / h**2
 
     A1 = np.zeros((N, N))
     idx = np.arange(N)
-    A1[idx, idx] = 1.0 + dt * (1.0 - 2.0 / h**2)
-    A1[idx[:-1], idx[:-1] + 1] = dt / h**2
-    A1[idx[1:], idx[1:] - 1] = dt / h**2
-    A1[-1, -2] = 2.0 * dt / h**2  # mirrored ghost at the Neumann end
+    A1[idx, idx] = a
+    A1[idx[:-1], idx[:-1] + 1] = c
+    A1[idx[1:], idx[1:] - 1] = c
+    A1[-1, -2] = 2.0 * c  # mirrored ghost at the Neumann end
 
     B = np.zeros((N, 1))
-    B[0, 0] = dt / h**2
+    B[0, 0] = c
 
     zero2 = lambda w, z: np.zeros(N)
     cubic = lambda w, z, y: -dt * (w * z * y)
 
     def step_impl(x, u):
-        lap = np.empty_like(x)
-        lap[1:-1] = x[2:] - 2.0 * x[1:-1] + x[:-2]
-        lap[0] = x[1] - 2.0 * x[0] + u[0]
-        lap[-1] = 2.0 * x[-2] - 2.0 * x[-1]
-        return x + dt * (lap / h**2 + x - x * x * x)
+        # leading slices, never x[0]: a 1-D state's row is a scalar, no view
+        out = np.empty_like(x)
+        np.add(x[2:], x[:-2], out=out[1:-1])
+        np.add(x[1:2], u[:1], out=out[:1])
+        np.add(x[-2:-1], x[-2:-1], out=out[-1:])
+        out *= c
+        term = a * x
+        out += term
+        np.multiply(x, x, out=term)
+        term *= x
+        term *= dt
+        out -= term
+        return out
 
     return FullOrderModel(
         state_dim=N,
@@ -618,7 +632,15 @@ def _reaction_step(grid_points_per_dim, dt, degree):
     c_degree, each a scalar or a row (m,) of one per column; c_0 scales the
     constant input channel, the column of B that depends on mu.  Its
     `lap` and `source` (dt times the source term, the first column of B)
-    are attributes."""
+    are attributes.
+
+    The step is one fused stencil, x + dt (s + r(x)) + B u: the sum s of
+    the four neighbours is written from slices of the grid into the output,
+    a boundary's mirrored ghost being the neighbour on its other side, with
+    no padded copy; r(x) = ((c_3 x + c_2) x + c_1 - 4) x by Horner
+    ((c_2 x + c_1 - 4) x at degree 2), the Laplacian's -4 x folded into the
+    linear coefficient; the input term is added last.  `lap`, the padded five-point sum, serves the linear form,
+    so the forms stay an independent check of the step."""
     g = grid_points_per_dim
     xi = np.linspace(0.0, 1.0, g)
     s1, s2 = np.meshgrid(np.sin(2 * np.pi * xi), np.sin(2 * np.pi * xi), indexing="ij")
@@ -636,11 +658,33 @@ def _reaction_step(grid_points_per_dim, dt, degree):
         ).reshape(w.shape)
 
     def step_impl(x, u, c):
-        react = c[1] * x + c[2] * x * x
+        out = np.empty(x.shape)
+        grid = (g, g) + x.shape[1:]
+        S, X = out.reshape(grid), x.reshape(grid)
+        # the four neighbours, a boundary's mirrored ghost being the
+        # neighbour on its other side
+        np.add(X[:-2], X[2:], out=S[1:-1])
+        np.add(X[1:2], X[1:2], out=S[:1])
+        np.add(X[-2:-1], X[-2:-1], out=S[-1:])
+        S[:, 1:] += X[:, :-1]
+        S[:, :-1] += X[:, 1:]
+        S[:, :1] += X[:, 1:2]
+        S[:, -1:] += X[:, -2:-1]
+        # the reaction by Horner, the Laplacian's -4 x folded into its
+        # linear coefficient
+        react = c[degree] * x
         if degree == 3:
-            react += c[3] * x * x * x
+            react += c[2]
+            react *= x
+        react += c[1] - 4.0
+        react *= x
+        out += react
+        out *= dt
+        out += x
         # B u, B = [source, dt c_0 1]
-        return x + dt * (lap(x) + react) + (np.multiply.outer(source, u[0]) + dt * c[0] * u[1])
+        out += np.multiply.outer(source, u[0])
+        out += dt * c[0] * u[1]
+        return out
 
     step_impl.lap, step_impl.source = lap, source
     return step_impl

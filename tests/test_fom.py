@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -22,8 +23,22 @@ BENCHMARKS = [
 ]
 
 
+def _mixed_reaction2d_block(model):
+    """The five models and the `fom._block_step` of a reaction2d block with
+    one mu per column (its Taylor coefficients as rows), on `model`'s grid
+    and degree."""
+    g = math.isqrt(model.state_dim)
+    models = [
+        fom.make_diffusion_reaction_2d(mu, grid_points_per_dim=g, degree=model.degree)
+        for mu in (1.0, 1.1, 1.25, 1.4, 1.5)
+    ]
+    return models, fom._block_step(models, [1] * 5)
+
+
 @pytest.mark.parametrize("build", BENCHMARKS)
 def test_step_matches_multilinear_expansion(build):
+    """Single states, and an (N, 5) block column by column: reaction2d's
+    with one mu per column, every other model's of the model alone."""
     model = build()
     rng = np.random.default_rng(20)
     for _ in range(100):
@@ -31,6 +46,54 @@ def test_step_matches_multilinear_expansion(build):
         fast = model.step(x, u)
         poly = model.polynomial_step(x, u)
         assert np.linalg.norm(fast - poly) <= 1e-12 * (1.0 + np.linalg.norm(fast))
+    models, step = [model] * 5, model.block_step
+    if model.label == "diffusion-reaction-2d":
+        models, step = _mixed_reaction2d_block(model)
+    X = rng.normal(size=(model.state_dim, 5))
+    U = rng.normal(size=(model.input_dim, 5)) if model.input_dim else None
+    block = step(X, U)
+    for l, column_model in enumerate(models):
+        poly = column_model.polynomial_step(X[:, l], None if U is None else U[:, l])
+        assert np.linalg.norm(block[:, l] - poly) <= 1e-12 * (1.0 + np.linalg.norm(block[:, l]))
+
+
+def _layouts(A):
+    """A C-ordered (rows, 5) array as a step may be given it: the block, its
+    Fortran-ordered copy, a strided view of a wider array, and one column
+    as a 1-D state, contiguous and strided."""
+    wide = np.zeros((A.shape[0], 2 * A.shape[1]))
+    wide[:, ::2] = A
+    return [A, np.asfortranarray(A), wide[:, ::2], A[:, 2].copy(), A[:, 2]]
+
+
+@pytest.mark.parametrize("build", BENCHMARKS)
+def test_step_ignores_layout_and_writes_nothing_into_its_arguments(build):
+    """Every layout of a state steps to the bits of its C-ordered copy, and
+    the state, the input and the coefficient rows are left bitwise as they
+    were: the model's own step, and for reaction2d the coefficient-row step
+    of a mixed-mu block too (on blocks only, as its rows have five
+    columns)."""
+    model = build()
+    rng = np.random.default_rng(31)
+    X = rng.normal(size=(model.state_dim, 5))
+    U = rng.normal(size=(model.input_dim, 5)) if model.input_dim else None
+    states = _layouts(X)
+    inputs = [None] * len(states) if U is None else _layouts(U)
+    cases = [(model.block_step, len(states))]
+    if model.label == "diffusion-reaction-2d":
+        cases.append((_mixed_reaction2d_block(model)[1], 3))
+    for step, count in cases:
+        rows = getattr(step, "keywords", {}).get("c")
+        kept_rows = None if rows is None else rows.copy()
+        for x, u in zip(states[:count], inputs[:count]):
+            kept_x, kept_u = x.copy(), None if u is None else u.copy()
+            out = step(x, u)
+            assert np.array_equal(x, kept_x)
+            assert u is None or np.array_equal(u, kept_u)
+            assert rows is None or np.array_equal(rows, kept_rows)
+            assert not np.shares_memory(out, x)
+            expected = step(np.ascontiguousarray(x), None if u is None else np.ascontiguousarray(u))
+            assert np.array_equal(out, expected)
 
 
 @pytest.mark.parametrize("build", BENCHMARKS)
