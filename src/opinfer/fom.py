@@ -53,7 +53,11 @@ class Trajectory:
     def __post_init__(self):
         if self.states.ndim not in (2, 3):
             raise ValueError(f"states must be 2-D or 3-D, got shape {self.states.shape}")
-        if not np.isfinite(self.states).all():
+        # screened by the sum, as in `_windows`, with no mask of the states'
+        # size; only a sum that is not finite (or overflows) costs the scan
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = np.isfinite(self.states.sum())
+        if not finite and not np.isfinite(self.states).all():
             raise ValueError("stored trajectory columns must be finite")
 
     @property

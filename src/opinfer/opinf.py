@@ -152,44 +152,24 @@ def _fold(chunks, width, waiting=None):
     waiting rows as fill one window of `fom._WINDOW_BYTES`, but at least
     `width`, since a fold costs about (1 + width / waiting) times the QR of
     its waiting rows alone.  Whenever the buffer is full and more rows come,
-    which may split a chunk, it is folded in place by `subspace.fold_rows`,
-    which leaves R at the top of the buffer.  When `waiting` exceeds
-    `width`, the first fold takes the first `waiting` rows alone, so that
-    chunks of `waiting` rows fold one by one: they are closed up to a
-    shorter buffer, and its R, (width, width), moves to the top of the full
-    one.  Otherwise the first fold comes once the buffer is full: up to
-    `width` rows fold alike whether or not they are folded first.  The rows
-    that wait at the end are folded too.  So only the buffer and one chunk
-    are held at a time, and the R returned is a view of the buffer, which
-    lives as long as R does.
+    which may split a chunk, its filled rows are folded in place by
+    `subspace.fold_rows`, which leaves R at the top of the buffer.  When
+    `waiting` exceeds `width`, the first fold takes the first `waiting` rows
+    alone, so that chunks of `waiting` rows fold one by one; otherwise the
+    first fold comes once the buffer is full: up to `width` rows fold alike
+    whether or not they are folded first.  The rows that wait at the end are
+    folded too.  So only the buffer and one chunk are held at a time, and
+    the R returned is a view of the buffer, which lives as long as R does.
     """
     waiting = waiting or max(width, _fom._WINDOW_BYTES // (8 * width))
-    flat = np.empty((width + waiting) * width)
-
-    def fold(count):
-        """R of the first `count` rows of the buffer, closed up first to the
-        Fortran order of `count` rows; moving the columns in turn overwrites
-        only columns already moved."""
-        closed = flat[: count * width].reshape((count, width), order="F")
-        if count < len(rows):
-            for j in range(width):
-                closed[:, j] = rows[:count, j]
-        return _subspace.fold_rows(closed)
-
-    rows = flat.reshape((width + waiting, width), order="F")
+    rows = np.empty((width + waiting, width), order="F")
     top = filled = 0  # rows of R, and of R and the rows that wait
     limit = waiting if waiting > width else len(rows)  # rows of the next fold
     for parts in chunks:
         done, count = 0, parts[0].shape[1]
         while done < count:
             if filled == limit:
-                R = fold(filled)
-                top = filled = len(R)
-                if limit < len(rows):
-                    # back to the open buffer's order: moving the columns in
-                    # reverse overwrites only columns already moved
-                    for j in reversed(range(width)):
-                        rows[:top, j] = R[:, j]
+                top = filled = len(_subspace.fold_rows(rows, filled))
                 limit = len(rows)
             take = min(count - done, limit - filled)
             col = 0
@@ -200,7 +180,7 @@ def _fold(chunks, width, waiting=None):
             filled += take
         # or they keep the producer's buffer while the next is made
         parts = part = None
-    return fold(filled) if filled > top else rows[:top]
+    return _subspace.fold_rows(rows, filled) if filled > top else rows[:top]
 
 
 def _equilibrated_svd(R11):
@@ -277,6 +257,8 @@ def infer_operators(pieces, degree, source="projected"):
 
     Returns (model, residual, certificate) where residual is the Frobenius
     norm of the regression misfit, sqrt(||R11 O^T - R12||^2 + ||R22||^2).
+    A fit whose operators are not finite, as from data so small that s^2
+    underflows, raises `fom.NumericalFailure`.
     """
     if source not in _SOURCES:
         raise ValueError(f"unknown data source {source!r}")
@@ -322,20 +304,17 @@ def infer_operators(pieces, degree, source="projected"):
     w, U_s, s, Wt = _equilibrated_svd(R11)
     certificate = _certificate(s, K, r)
     k = certificate.numerical_rank
-    W = Wt[:k].T / w[:, None]
-    Ot = W @ ((U_s[:, :k].T @ R12) / s[:k, None])
-    Ot += _correction(Ot, W, s[:k], chunks())
+    # data near the underflow limit can leave s^2 zero: the fit then fails below
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        W = Wt[:k].T / w[:, None]
+        Ot = W @ ((U_s[:, :k].T @ R12) / s[:k, None])
+        Ot += _correction(Ot, W, s[:k], chunks())
+    if not np.isfinite(Ot).all():
+        raise _fom.NumericalFailure("least-squares fit gave non-finite operators")
     residual = float(np.hypot(np.linalg.norm(R11 @ Ot - R12), np.linalg.norm(R22)))
 
-    O = Ot.T
-    operators, start = [], 0
-    for i in range(1, degree + 1):
-        ni = compressed_dim(n, i)
-        operators.append(O[:, start : start + ni])
-        start += ni
-    B = O[:, start:] if p else None
     provenance = "inferred-reprojected" if source == "re-projected" else "inferred-plain"
-    model = PolynomialModel(operators=tuple(operators), input_matrix=B, provenance=provenance)
+    model = PolynomialModel.from_stacked(Ot.T, degree, p, provenance=provenance)
     return model, residual, certificate
 
 

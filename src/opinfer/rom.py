@@ -89,6 +89,18 @@ class PolynomialModel:
             blocks.append(self.input_matrix)
         return np.hstack(blocks)
 
+    @classmethod
+    def from_stacked(cls, stacked, degree, input_dim, **fields):
+        """The model of degree `degree` whose `stacked()` is the block matrix
+        `stacked` = [A_1, ..., A_ell, B], with B of `input_dim` columns (none:
+        no input matrix); `fields` are the other fields."""
+        n = stacked.shape[0]
+        ends = np.cumsum([compressed_dim(n, i) for i in range(1, degree + 1)])
+        if stacked.shape[1] != ends[-1] + input_dim:
+            raise ValueError(f"need {ends[-1] + input_dim} stacked columns, got {stacked.shape[1]}")
+        *operators, B = np.split(stacked, ends, axis=1)
+        return cls(operators=tuple(operators), input_matrix=B if input_dim else None, **fields)
+
 
 def galerkin_project(model, V):
     """Intrusive reduced operators of a full-order model on span(V).
@@ -270,17 +282,9 @@ def interpolate(parameters, models, target):
     stacked = np.tensordot(_natural_spline_weights(parameters[order], target), table, axes=1)
 
     template = models[0]
-    operators, start = [], 0
-    for i in range(1, template.degree + 1):
-        ni = compressed_dim(template.reduced_dim, i)
-        operators.append(stacked[:, start : start + ni])
-        start += ni
-    B = stacked[:, start:] if template.input_dim else None
-    return PolynomialModel(
-        operators=tuple(operators),
-        input_matrix=B,
-        provenance="interpolated",
-        parameter=float(target),
+    return PolynomialModel.from_stacked(
+        stacked, template.degree, template.input_dim,
+        provenance="interpolated", parameter=float(target),
     )
 
 

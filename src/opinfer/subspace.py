@@ -49,32 +49,37 @@ class Basis:
         return Basis(self.matrix[:, :n], self.singular_values)
 
 
-def fold_rows(rows):
+def fold_rows(rows, count=None):
     """Triangular factor R, shape (min(M, N), N), of the QR factorization of
-    the rows (M, N), which are overwritten: R is the view of their leading
-    min(M, N) rows.
+    the leading M = `count` rows (default all) of `rows` (L, N), which are
+    overwritten: R is the view of their leading min(M, N) rows.  Rows from
+    M on are left as they are.
 
     Any rows [R_old; A] fold into the R of [S_old^T; A] when R_old is the R
     factor of S_old^T, since both have the same Gram matrix.  The rows must
     be a Fortran-ordered float64 array, which LAPACK geqrf factorizes in
     place, leaving R on and above the diagonal; the Householder vectors
     below it are zeroed column by column, so R needs no memory of its own.
-    `np.linalg.qr` would first copy the rows, which doubles the memory of
-    `opinf._fold`'s buffer, so geqrf is called here through numpy's own
-    `numpy.linalg.lapack_lite`, a module numpy ships but does not list as
-    public.  It takes C-contiguous arrays only, hence `rows.T`: the same
-    memory, read by LAPACK as the M x N matrix.
+    With L as geqrf's leading dimension, the M rows are factorized where
+    they lie, at any M.  `np.linalg.qr` would first copy them, which doubles
+    the memory of `opinf._fold`'s buffer, so geqrf is called here through
+    numpy's own `numpy.linalg.lapack_lite`, a module numpy ships but does
+    not list as public.  It takes C-contiguous arrays only, hence `rows.T`:
+    the same memory, read by LAPACK as the L x N matrix.
     """
     from numpy.linalg import lapack_lite
 
     if not (isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype == np.float64
             and rows.flags.f_contiguous and rows.flags.writeable):
         raise ValueError("fold_rows needs a writeable Fortran-ordered 2-D float64 array")
-    M, N = rows.shape
+    L, N = rows.shape
+    M = L if count is None else count
+    if not 0 <= M <= L:
+        raise ValueError(f"need 0 <= count <= {L}, got {count}")
     tau = np.empty(min(M, N))
 
     def geqrf(work, lwork):
-        info = lapack_lite.dgeqrf(M, N, rows.T, M, tau, work, lwork, 0)["info"]
+        info = lapack_lite.dgeqrf(M, N, rows.T, L, tau, work, lwork, 0)["info"]
         if info:
             raise ValueError(f"LAPACK dgeqrf failed with info {info}")
 

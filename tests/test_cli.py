@@ -212,6 +212,18 @@ def test_main_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
     code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
     assert code == cli.EXIT_NUMERICAL
     assert "numerical rank is 1" in capsys.readouterr().err
+    # inputs so small that the fit's squared singular values underflow
+    for tiny in (1e-200, 1e-250):
+        path = _write_config(
+            tmp_path, benchmark="custom", input_range=[0.0, tiny], num_steps=20
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["run", "--config", path, "--out", str(tmp_path / "o")])
+        assert code == cli.EXIT_NUMERICAL, tiny
+        err = capsys.readouterr().err
+        assert err == "numerical failure: least-squares fit gave non-finite operators\n"
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_main_names_the_earliest_diverged_step_of_a_block(tmp_path, capsys, monkeypatch):

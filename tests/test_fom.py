@@ -180,6 +180,35 @@ def test_simulate_flags_divergence_and_truncates():
     assert traj.X.shape == (2, 2) and traj.Y.shape == (2, 2)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("shape", [(3, 4), (3, 4, 2)])
+def test_trajectory_rejects_non_finite_states(shape, bad):
+    states = np.ones(shape)
+    states[(1, 2, 1)[: len(shape)]] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="must be finite"):
+            fom.Trajectory(states=states)
+    # inf and -inf whose sum is nan
+    states[(0,) * len(shape)] = np.inf
+    states[(-1,) * len(shape)] = -np.inf
+    with pytest.raises(ValueError, match="must be finite"):
+        fom.Trajectory(states=states)
+
+
+def test_trajectory_accepts_finite_states_whose_sum_overflows():
+    """The finiteness screen sums the states; a sum that overflows from
+    finite states is not a non-finite state."""
+    big = np.finfo(float).max
+    for states in (np.full((2, 3), big), np.full((2, 3, 2), -big)):
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(states.sum())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = fom.Trajectory(states=states)
+        assert traj.states is states
+
+
 def test_simulate_rejects_dimension_mismatch():
     model = fom.make_toy_linear(seed=0)
     with pytest.raises(ValueError):

@@ -591,15 +591,29 @@ def test_reprojected_fit_memory_does_not_grow_beyond_its_samples():
     assert peaks[1] - peaks[0] <= 0.05 * (sampled[1] - sampled[0]), (peaks, sampled)
 
 
-def test_fold_holds_r_one_buffer_and_one_chunk(monkeypatch):
+# (waiting rows in widths, chunks): the snapshots' schedule, whose first fold
+# comes once the buffer is full, and the fits' (`infer_operators`), whose
+# first fold takes the waiting rows alone; each with a last fold of the full
+# buffer and a partial one
+@pytest.mark.parametrize(
+    "widths, count, full",
+    [(1, 12, True), (1, 11, False), (12, 32, True), (12, 30, False)],
+    ids=["snapshots-full", "snapshots-partial", "fits-full", "fits-partial"],
+)
+def test_fold_holds_r_one_buffer_and_one_chunk(monkeypatch, widths, count, full):
     """`_fold` of N-wide rows that come in chunks smaller than N, so that
     folds split them: its tracemalloc peak stays within its one buffer of R
-    and N waiting rows, where R stays, and one chunk, plus the QR's small
+    and the waiting rows, where R stays, and one chunk, plus the QR's small
     workspace (a few percent at these sizes); its R has the Gram matrix of
     all rows."""
-    N, rows, count = 400, 300, 12
-    # windows of N rows of N doubles: N rows wait under R
+    N, rows = 400, 300
+    waiting = widths * N
+    # windows of N rows of N doubles: by default N rows wait under R
     monkeypatch.setattr(fom, "_WINDOW_BYTES", 8 * N * N)
+    # the first fold takes N + waiting rows, or the waiting rows alone, and
+    # each later one `waiting` more: the last is of the full buffer or not
+    first = N + waiting if widths == 1 else waiting
+    assert ((count * rows - first) % waiting == 0) == full
 
     def chunks(rng):
         for _ in range(count):
@@ -609,11 +623,11 @@ def test_fold_holds_r_one_buffer_and_one_chunk(monkeypatch):
     rng = np.random.default_rng(70)
     tracemalloc.start()
     try:
-        R = opinf._fold(chunks(rng), N)
+        R = opinf._fold(chunks(rng), N, None if widths == 1 else waiting)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    held = 8 * (2 * N * N + N * rows)
+    held = 8 * ((N + waiting) * N + N * rows)
     assert peak <= 1.1 * held, (peak, held)
     A = np.hstack([part for part, in chunks(np.random.default_rng(70))]).T
     gram = A.T @ A

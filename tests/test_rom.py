@@ -289,6 +289,26 @@ def test_simulate_truncations_with_inputs_per_group_equals_single_runs():
     assert col == states.shape[2] == len(dims) * (2 * 2 + 1 + 1 + 2 * 2)
 
 
+@pytest.mark.parametrize("degree", [1, 2, 3])
+@pytest.mark.parametrize("input_dim", [0, 2])
+def test_from_stacked_inverts_stacked(degree, input_dim):
+    model = fom.make_random_polynomial(5, degree, input_dim=input_dim, seed=degree)
+    reduced = replace(rom.galerkin_project(model, subspace.Basis(np.eye(5)[:, :4])), parameter=0.5)
+    # a transposed (Fortran-ordered) block, as a fit gives it
+    stacked = np.asfortranarray(reduced.stacked())
+    again = rom.PolynomialModel.from_stacked(
+        stacked, degree, input_dim, provenance="intrusive", parameter=0.5
+    )
+    for A, B in zip(again.operators, reduced.operators, strict=True):
+        assert np.array_equal(A, B) and A.flags.c_contiguous
+    assert (again.input_matrix is None) == (input_dim == 0)
+    assert input_dim == 0 or np.array_equal(again.input_matrix, reduced.input_matrix)
+    assert (again.provenance, again.parameter) == ("intrusive", 0.5)
+    for width in (stacked.shape[1] - 1, stacked.shape[1] + 1):
+        with pytest.raises(ValueError, match="stacked columns"):
+            rom.PolynomialModel.from_stacked(np.zeros((4, width)), degree, input_dim)
+
+
 def test_truncate_identity_and_shapes():
     model = fom.make_random_polynomial(6, 3, input_dim=2, seed=11)
     reduced = rom.galerkin_project(model, subspace.Basis(np.eye(6)))

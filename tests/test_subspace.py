@@ -162,17 +162,35 @@ def test_fold_rows_gives_the_r_factor_in_the_leading_rows(rows):
     assert np.allclose(R.T @ R, A.T @ A, rtol=0.0, atol=1e-12 * np.linalg.norm(A) ** 2)
 
 
-# wide, tall, and large enough for geqrf's blocked code path
-@pytest.mark.parametrize("shape", [(4, 6), (30, 6), (300, 200), (200, 300)])
+# (buffer rows, columns, filled rows, default all): wide, tall, and large
+# enough for geqrf's blocked code path, then tall and wide leading blocks of
+# a taller buffer, which geqrf reads with the buffer's rows as its leading
+# dimension
+@pytest.mark.parametrize(
+    "shape",
+    [(4, 6, None), (30, 6, None), (300, 200, None), (200, 300, None), (40, 10, 25),
+     (40, 10, 5), (40, 10, 0), (300, 200, 150), (500, 200, 499)],
+)
 def test_fold_rows_equals_numpy_qr_bitwise_and_overwrites_the_rows(shape):
-    A = np.random.default_rng(10).normal(size=shape)
+    L, N, count = shape
+    M = L if count is None else count
+    A = np.random.default_rng(10).normal(size=(L, N))
     work = np.asfortranarray(A)
-    R = subspace.fold_rows(work)
-    assert np.array_equal(R, np.linalg.qr(A.copy(), mode="r"))
-    assert not np.array_equal(work, A)
+    R = subspace.fold_rows(work, count)
+    assert np.array_equal(R, np.linalg.qr(A[:M].copy(), mode="r"))
+    assert M == 0 or not np.array_equal(work[:M], A[:M])
+    assert np.array_equal(work[M:], A[M:])
     # R is the top of the overwritten rows, its strict lower triangle zero
-    assert _is_leading_rows(R, work)
+    assert _is_leading_rows(R, work[:M])
     assert np.all(np.tril(work[: len(R)], -1) == 0.0)
+
+
+@pytest.mark.parametrize("count", [-1, 6])
+def test_fold_rows_refuses_a_count_outside_its_rows(count):
+    rows = np.asfortranarray(np.ones((5, 3)))
+    with pytest.raises(ValueError, match="count"):
+        subspace.fold_rows(rows, count)
+    assert np.array_equal(rows, np.ones((5, 3)))
 
 
 def test_fold_rows_holds_tau_the_workspace_and_r():
