@@ -7,20 +7,21 @@ avg_rel_error,traj_diff,diverged,residual`` and ``certify.csv`` has header
 ``benchmark,mu,K,required,rank,cond,satisfied``; floats are printed with 17
 significant digits, so a rerun with the same config and seed is
 byte-identical.  The toy benchmark runs `run_toy`, which additionally writes
-its per-step series (``toy_closure.csv``, ``toy_norms.csv``) and the
-conditioning/difference studies (``toy_cond.csv``, ``toy_diff.csv``); the
-other benchmarks share one pipeline, `run_study`.
+its per-step series at the first truncation dimension (``toy_closure.csv``,
+``toy_norms.csv``) and the conditioning/difference studies (``toy_cond.csv``
+at the quarter points of K, ``toy_diff.csv``); the other benchmarks share
+one pipeline, `run_study`.
 
 Randomness derives from one base seed: the toy/custom system matrices use the
 seed itself, training input trajectory l of parameter j uses seed + 1000 +
-j * m' + l, dedicated basis-building inputs use offset 700000, and test
-inputs use offset 500000 + i.  Exit codes: 0 success, 2 config error (test
-parameters outside the range of several training parameters, and an output
-directory that cannot be made or written, included; both are found before
-the study runs), 3 numerical failure: an unsatisfied recovery certificate
-when the config demands exact recovery, a full model that diverges on a
-training or test input, or snapshots whose numerical rank is below nbar.
-Either error prints one line to stderr.
+j * m' + l, the reaction2d basis input of parameter j uses seed + 700000 + j,
+and test inputs use offset 500000 + i.  Exit codes: 0 success, 2 config
+error (test parameters outside the range of several training parameters,
+and an output directory that cannot be made or written, included; both are
+found before the study runs), 3 numerical failure: an unsatisfied recovery
+certificate when the config demands exact recovery, a full model that
+diverges on a training or test input, or snapshots whose numerical rank is
+below nbar.  Either error prints one line to stderr.
 """
 
 import argparse
@@ -65,11 +66,12 @@ class ExperimentConfig:
 
     `param_values` overrides the equidistant grid of `param_count` values in
     the benchmark's parameter domain.  `truncation_dims` are the reduced
-    dimensions evaluated, distinct and at most `nbar`, and `main_dim`, at
-    which the toy writes its closure and norm curves, must be one of them
-    when set.  `reproj_horizon`
-    caps the length of re-projected (and matching plain-projected) training
-    pieces.  `snapshot_stride` thins the POD snapshot matrix.
+    dimensions evaluated, distinct and at most `nbar`; the toy writes its
+    closure and norm curves at the first of them.  `reproj_horizon` caps the
+    length of re-projected (and matching plain-projected) training pieces.
+    `snapshot_stride` thins the POD snapshot matrix.  Every study uses the
+    cubic reaction of reaction2d, a quadratic custom system with one input,
+    and one basis input per parameter.
     """
 
     benchmark: str
@@ -83,18 +85,12 @@ class ExperimentConfig:
     param_count: int = None
     param_values: list = None
     num_inputs: int = None
-    num_basis_inputs: int = None
     input_range: tuple = None
     nbar: int = None
     truncation_dims: list = None
     reproj_horizon: int = None
     snapshot_stride: int = 1
     num_test_params: int = None
-    reaction_degree: int = 3
-    custom_degree: int = 2
-    custom_input_dim: int = 1
-    main_dim: int = None
-    cond_steps: list = None
     reproj_start_kick: float = 0.0
     require_recovery: bool = False
 
@@ -118,17 +114,10 @@ class ExperimentConfig:
             raise ConfigError(f"out_dir must be a non-empty string, got {self.out_dir!r}")
         if not isinstance(self.require_recovery, bool):
             raise ConfigError(f"require_recovery must be a boolean, got {self.require_recovery!r}")
-        if self.cond_steps is not None and not _are_integers_upto(self.cond_steps, self.num_steps):
-            raise ConfigError(
-                f"cond_steps must be distinct integers in 1..{self.num_steps}, "
-                f"got {self.cond_steps!r}"
-            )
         if not (_is_real(self.reproj_start_kick) and self.reproj_start_kick >= 0):
             raise ConfigError(
                 f"reproj_start_kick must be a finite number >= 0, got {self.reproj_start_kick!r}"
             )
-        if self.benchmark == "reaction2d" and self.reaction_degree > 3:
-            raise ConfigError(f"reaction_degree must be 2 or 3, got {self.reaction_degree}")
         state_dim = (
             self.grid_points_per_dim**2 if self.benchmark == "reaction2d" else self.state_dim
         )
@@ -138,10 +127,6 @@ class ExperimentConfig:
             raise ConfigError(
                 f"truncation_dims must be distinct integers in 1..nbar={self.nbar}, "
                 f"got {self.truncation_dims!r}"
-            )
-        if self.main_dim is not None and self.main_dim not in self.truncation_dims:
-            raise ConfigError(
-                f"main_dim={self.main_dim} must be one of truncation_dims {self.truncation_dims!r}"
             )
         r = self.input_range
         if (r is not None or preset.input_range is not None) and not (
@@ -183,15 +168,10 @@ _INTEGER_FIELDS = {
     "num_steps": 1,
     "param_count": 1,
     "num_inputs": 1,
-    "num_basis_inputs": 1,
     "nbar": 1,
     "reproj_horizon": 1,
     "snapshot_stride": 1,
     "num_test_params": 0,
-    "reaction_degree": 2,
-    "custom_degree": 1,
-    "custom_input_dim": 1,
-    "main_dim": 1,
 }
 
 
@@ -228,7 +208,6 @@ def default_config(benchmark, scale="desk"):
         base.num_steps = 100
         base.nbar = 6
         base.truncation_dims = [2, 4, 6]
-        base.main_dim = 2
     elif benchmark == "burgers":
         base.state_dim = 128
         base.num_steps = 10_000
@@ -254,7 +233,6 @@ def default_config(benchmark, scale="desk"):
         base.dt = 1e-2
         base.param_count = 10
         base.num_inputs = 10
-        base.num_basis_inputs = 1
         base.input_range = (1.0, 1000.0)
         base.nbar = 10
         base.truncation_dims = list(range(1, 11))
@@ -290,8 +268,8 @@ def load_config(path=None, benchmark=None, scale=None, seed=None, out_dir=None):
         if not isinstance(overrides, dict):
             raise ConfigError("config file must hold a JSON object")
         version = overrides.pop("schema_version", SCHEMA_VERSION)
-        if version != SCHEMA_VERSION:
-            raise ConfigError(f"unsupported schema_version {version}")
+        if not (_is_integer(version) and version == SCHEMA_VERSION):
+            raise ConfigError(f"unsupported schema_version {version!r}")
     file_benchmark = overrides.pop("benchmark", None)
     if benchmark is None:
         benchmark = file_benchmark
@@ -394,8 +372,6 @@ class _Adapter:
     A benchmark without a parameter trains and tests at the one value None.
     """
 
-    input_rows = 1
-
     def __init__(self, config):
         self.config = config
 
@@ -409,9 +385,7 @@ class _Adapter:
         raise NotImplementedError
 
     def _uniform(self, seed):
-        lo, hi = self.config.input_range
-        rng = np.random.default_rng(seed)
-        return rng.uniform(lo, hi, (self.input_rows, self.config.num_steps))
+        return fom.random_input_trajectory(self.config.num_steps, 1, *self.config.input_range, seed)
 
     def reproj_inputs(self, j):
         seed = self.config.seed + _TRAIN_SEED_OFFSET
@@ -473,16 +447,13 @@ class _Reaction2dAdapter(_ParametricAdapter):
             mu,
             grid_points_per_dim=self.config.grid_points_per_dim,
             dt=self.config.dt,
-            degree=self.config.reaction_degree,
         )
 
     def _wrap(self, U):
         return fom.with_constant_channel(U)
 
     def basis_inputs(self, j):
-        seed = self.config.seed + _BASIS_SEED_OFFSET
-        count = self.config.num_basis_inputs or 1
-        return [self._wrap(self._uniform(seed + j * count + l)) for l in range(count)]
+        return [self._wrap(self._uniform(self.config.seed + _BASIS_SEED_OFFSET + j))]
 
     def test_input(self, i):
         return self._wrap(self._uniform(self.config.seed + _TEST_SEED_OFFSET + i))
@@ -491,16 +462,9 @@ class _Reaction2dAdapter(_ParametricAdapter):
 class _CustomAdapter(_Adapter):
     benchmark = "custom"
 
-    @property
-    def input_rows(self):
-        return self.config.custom_input_dim
-
     def factory(self, mu):
         return fom.make_random_polynomial(
-            self.config.state_dim,
-            self.config.custom_degree,
-            input_dim=self.config.custom_input_dim,
-            seed=self.config.seed,
+            self.config.state_dim, 2, input_dim=1, seed=self.config.seed
         )
 
     def test_input(self, i):
@@ -753,7 +717,7 @@ def run_toy(config):
     model = fom.make_toy_linear(N, seed=config.seed)
     x0 = np.eye(N)[:, 0]
     full = fom.simulate(model, x0, num_steps=K)
-    cond_steps = config.cond_steps or sorted({max(1, q * K // 4) for q in range(1, 5)})
+    cond_steps = sorted({max(1, q * K // 4) for q in range(1, 5)})
 
     cond_rows, diff_rows = [], []
     for n in config.truncation_dims:
@@ -795,7 +759,7 @@ def run_toy(config):
             sub = opinf.infer_operators([(bar.states[:, : K_sub + 1], None)], 1)[2]
             cond_rows.append([n, K_sub, sub.condition_number])
 
-        if n == (config.main_dim or config.truncation_dims[0]):
+        if n == config.truncation_dims[0]:
             closure = np.linalg.norm(proj[:, :K] - tilde.states[:, :K], axis=0)
             report.extras["toy_closure.csv"] = (
                 "k,closure",

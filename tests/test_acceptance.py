@@ -437,7 +437,6 @@ def test_criterion_10_byte_identical_reruns(tmp_path):
     reaction.num_steps = 300
     reaction.param_count = 2
     reaction.num_inputs = 3
-    reaction.num_basis_inputs = 1
     reaction.nbar = 3
     reaction.truncation_dims = [1, 2, 3]
     reaction.reproj_horizon = 100

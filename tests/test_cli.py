@@ -68,7 +68,8 @@ def test_toy_defaults_match_setup():
     config = cli.default_config("toy", "desk")
     assert config.state_dim == 10
     assert config.num_steps == 100
-    assert config.main_dim == 2
+    # the toy's closure and norm curves are written at the first dimension
+    assert config.truncation_dims[0] == 2
 
 
 def test_load_config_overrides_and_validation(tmp_path):
@@ -97,9 +98,26 @@ def test_load_config_rejects_benchmark_mismatch(tmp_path):
 
 
 def test_load_config_rejects_bad_schema_version(tmp_path):
-    path = _write_config(tmp_path, schema_version=99, benchmark="toy")
-    with pytest.raises(cli.ConfigError):
-        cli.load_config(path=path, benchmark="toy")
+    # only the integer 1: not a bool, a float or a string that equal it
+    for version in (99, True, 1.0, "1"):
+        path = _write_config(tmp_path, schema_version=version, benchmark="toy")
+        with pytest.raises(cli.ConfigError, match=f"schema_version {version!r}$"):
+            cli.load_config(path=path, benchmark="toy")
+
+
+# the config fields that every study held at one value, now constants, with
+# the values the toy took for them
+_REMOVED_KEYS = {"num_basis_inputs": 1, "reaction_degree": 3, "custom_degree": 2,
+                 "custom_input_dim": 1, "main_dim": 2, "cond_steps": [25, 50, 75, 100]}
+
+
+@pytest.mark.parametrize("key", sorted(_REMOVED_KEYS))
+def test_main_refuses_a_removed_config_key(tmp_path, capsys, key):
+    path = _write_config(tmp_path, benchmark="toy", **{key: _REMOVED_KEYS[key]})
+    assert cli.main(["run", "--config", path, "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and key in err[0], err
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_invariants():
@@ -132,19 +150,13 @@ _BAD_CONFIG_ENTRIES = [
     ("custom", "nbar", 17),  # state_dim is 16
     ("reaction2d", "nbar", 32 * 32 + 1),
     ("burgers", "dt", "abc"),
-    ("custom", "custom_degree", 0),
-    ("toy", "cond_steps", "ab"),
-    ("toy", "cond_steps", [0]),
-    ("toy", "cond_steps", [500]),  # num_steps is 100
     ("custom", "require_recovery", "no"),
     ("toy", "out_dir", 5),
     ("custom", "input_range", [0.0, float("inf")]),
     ("custom", "input_range", [0, 10**400]),  # beyond the float range
     ("reaction2d", "reproj_start_kick", float("inf")),
     ("burgers", "dt", float("inf")),
-    ("toy", "main_dim", 3),  # not one of truncation_dims [2, 4, 6]
     ("custom", "truncation_dims", [2, 2, 4]),  # a repeat would repeat metrics.csv rows
-    ("toy", "cond_steps", [25, 25]),
 ]
 
 
@@ -633,7 +645,6 @@ def test_kicked_pipeline_fits_plain_models_from_the_kicked_starts(tmp_path):
     config.num_steps = 300
     config.param_count = 2
     config.num_inputs = 3
-    config.num_basis_inputs = 1
     config.nbar = 3
     config.truncation_dims = [1, 2, 3]
     config.reproj_horizon = 100

@@ -185,6 +185,21 @@ def test_fold_rows_equals_numpy_qr_bitwise_and_overwrites_the_rows(shape):
     assert np.all(np.tril(work[: len(R)], -1) == 0.0)
 
 
+@pytest.mark.parametrize("shape", [(40, 10, 25), (300, 200, 290), (2048, 512, 1500)])
+def test_fold_rows_gives_the_same_bits_whatever_its_leading_dimension(shape):
+    """The same rows folded in buffers of L and L + 8 rows, which geqrf reads
+    as its leading dimension: `opinf._fold` pads its buffer and relies on
+    this."""
+    L, N, count = shape
+    A = np.random.default_rng(12).normal(size=(count, N))
+    folds = []
+    for rows in (L, L + 8):
+        work = np.empty((rows, N), order="F")
+        work[:count] = A
+        folds.append(subspace.fold_rows(work, count))
+    assert np.array_equal(*folds)
+
+
 @pytest.mark.parametrize("count", [-1, 6])
 def test_fold_rows_refuses_a_count_outside_its_rows(count):
     rows = np.asfortranarray(np.ones((5, 3)))
