@@ -84,9 +84,11 @@ class FullOrderModel:
     matrices A_i acting on compressed powers (kept for models that are built
     from explicit operators; stencil-based benchmarks leave it None).
     `coefficients`, when present, holds the parameter-dependent scalars c
-    (q,) that `step_impl(x, u, c)` takes as its third argument; models of one
-    benchmark discretization share `step_impl`, so a block of several of
-    them steps with c as rows (q, m), one per column (`_block_step`).
+    (q,), which `step_impl.bind(c)` turns into the third argument of
+    `step_impl(x, u, c)`; models of one benchmark discretization share
+    `step_impl`, so a block of several of them steps with the coefficient
+    rows (q, m) of its columns bound once, into arrays of the block's shape
+    (`_block_step`).
     """
 
     state_dim: int
@@ -126,13 +128,13 @@ class FullOrderModel:
     def block_step(self):
         """Unchecked f(x, u) of a state (N,) with inputs (p,), or of each
         column of a block (N, m) with inputs (p, m): `step_impl` if attached
-        (given the model's `coefficients`, if any), else the multilinear
+        (given the model's bound `coefficients`, if any), else the multilinear
         forms (which must then accept blocks)."""
         if self.step_impl is None:
             return self._forms_step
         if self.coefficients is None:
             return self.step_impl
-        return functools.partial(self.step_impl, c=self.coefficients)
+        return functools.partial(self.step_impl, c=self.step_impl.bind(self.coefficients))
 
     def _forms_step(self, x, u):
         out = np.zeros(x.shape)
@@ -233,8 +235,9 @@ def _block_step(models, counts):
     turn, counts[j] columns to models[j].
 
     One model steps the whole block.  Models that share a `step_impl` with
-    `coefficients` step it once, with the coefficients of each column's
-    model as rows.  Other models each step their own column slice.
+    `coefficients` step it once, with the rows (q, m) of each column's
+    coefficients bound here, once for every step of the block
+    (`step_impl.bind`).  Other models each step their own column slice.
     """
     first = models[0]
     if all(model is first for model in models):
@@ -243,7 +246,7 @@ def _block_step(models, counts):
         model.step_impl is first.step_impl for model in models
     ):
         rows = np.repeat(np.column_stack([model.coefficients for model in models]), counts, axis=1)
-        return functools.partial(first.step_impl, c=rows)
+        return functools.partial(first.step_impl, c=first.step_impl.bind(rows))
     bounds = np.cumsum([0, *counts])
     slices = [(model.block_step, slice(a, b)) for model, a, b in zip(models, bounds, bounds[1:])]
 
@@ -505,21 +508,40 @@ def make_burgers(mu, dt=1e-4, num_nodes=128):
 
 @functools.cache
 def _burgers_step(dt, num_nodes):
-    """The Burgers step f(x, u, c) of one grid and time step, mu = c[0] a
-    scalar or a row (m,) of one mu per column; shared by every mu."""
+    """The Burgers step f(x, u, c) of one grid and time step, shared by every
+    mu.  c is `bind` of the coefficients, (mu,): mu a scalar for one model,
+    or, given a row (m,) of one mu per column, a C-contiguous block
+    (N - 2, m) of the interior, bound once so that no step broadcasts it.
+
+    The interior is x + dt (mu (x[2:] - 2 x + x[:-2]) / h^2
+    - x (x[2:] - x[:-2]) / (2 h)), evaluated in place in the output and one
+    work array, in that expression's order, so its bits are the
+    expression's."""
     h = 2.0 / (num_nodes - 1)
 
     def step_impl(x, u, c):
-        mu = c[0]
+        (mu,) = c
         out = np.empty_like(x)
-        out[1:-1] = x[1:-1] + dt * (
-            mu * (x[2:] - 2.0 * x[1:-1] + x[:-2]) / h**2
-            - x[1:-1] * (x[2:] - x[:-2]) / (2.0 * h)
-        )
+        diffusion = out[1:-1]
+        np.multiply(2.0, x[1:-1], out=diffusion)
+        np.subtract(x[2:], diffusion, out=diffusion)
+        diffusion += x[:-2]
+        diffusion *= mu
+        diffusion /= h**2
+        convection = np.subtract(x[2:], x[:-2])
+        convection *= x[1:-1]
+        convection /= 2.0 * h
+        diffusion -= convection
+        diffusion *= dt
+        diffusion += x[1:-1]
         out[0] = u[0]
         out[-1] = -u[0]
         return out
 
+    def bind(c):
+        return (c[0],) if c.ndim == 1 else (np.full((num_nodes - 2, c.shape[1]), c[0]),)
+
+    step_impl.bind = bind
     return step_impl
 
 
@@ -632,23 +654,28 @@ def make_diffusion_reaction_2d(mu, grid_points_per_dim=64, dt=1e-2, degree=3):
 @functools.cache
 def _reaction_step(grid_points_per_dim, dt, degree):
     """The diffusion-reaction step f(x, u, c) of one grid, time step and
-    degree, shared by every mu.  c holds the Taylor coefficients c_0 ..
-    c_degree, each a scalar or a row (m,) of one per column; c_0 scales the
-    constant input channel, the column of B that depends on mu.  Its
-    `lap` and `source` (dt times the source term, the first column of B)
-    are attributes.
+    degree, shared by every mu.  c is `bind` of the Taylor coefficients
+    c_0 .. c_degree: (dt c_0, c_1 - 4, c_2, ..), the Laplacian's -4 folded
+    into the linear coefficient once.  Scalars (q,), of one model, bind to
+    scalars; rows (q, m), one per column of a block, bind to C-contiguous
+    (N, m) blocks where they meet the state, so that no step broadcasts a
+    row over the block, while dt c_0, which meets only the input, stays a
+    row.  Its `lap` and `source` (dt times the source term, the first
+    column of B) are attributes.
 
     The step is one fused stencil, x + dt (s + r(x)) + B u: the sum s of
     the four neighbours is written from slices of the grid into the output,
     a boundary's mirrored ghost being the neighbour on its other side, with
     no padded copy; r(x) = ((c_3 x + c_2) x + c_1 - 4) x by Horner
-    ((c_2 x + c_1 - 4) x at degree 2), the Laplacian's -4 x folded into the
-    linear coefficient; the input term is added last.  `lap`, the padded five-point sum, serves the linear form,
-    so the forms stay an independent check of the step."""
+    ((c_2 x + c_1 - 4) x at degree 2); the input term is added last, as one
+    product [source, 1] [u_0; dt c_0 u_1], the mu-dependent c_0 moved from B
+    into the input.  `lap`, the padded five-point sum, serves the linear
+    form, so the forms stay an independent check of the step."""
     g = grid_points_per_dim
     xi = np.linspace(0.0, 1.0, g)
     s1, s2 = np.meshgrid(np.sin(2 * np.pi * xi), np.sin(2 * np.pi * xi), indexing="ij")
     source = dt * (0.1 * (s1 * s2).ravel())
+    inputs = np.column_stack([source, np.ones(g * g)])
 
     def lap(w):
         """Five-point Laplacian of a state (N,) or of each column of (N, m):
@@ -674,21 +701,28 @@ def _reaction_step(grid_points_per_dim, dt, degree):
         S[:, :-1] += X[:, 1:]
         S[:, :1] += X[:, 1:2]
         S[:, -1:] += X[:, -2:-1]
-        # the reaction by Horner, the Laplacian's -4 x folded into its
-        # linear coefficient
+        # the reaction by Horner, c[1] being c_1 - 4
         react = c[degree] * x
         if degree == 3:
             react += c[2]
             react *= x
-        react += c[1] - 4.0
+        react += c[1]
         react *= x
         out += react
         out *= dt
         out += x
-        # B u, B = [source, dt c_0 1]
-        out += np.multiply.outer(source, u[0])
-        out += dt * c[0] * u[1]
+        # B u = [source, 1] [u_0; dt c_0 u_1], into the reaction's buffer
+        scaled = u.copy()
+        scaled[1] *= c[0]
+        np.matmul(inputs, scaled, out=react)
+        out += react
         return out
 
-    step_impl.lap, step_impl.source = lap, source
+    def bind(c):
+        bound = [c[1] - 4.0, *c[2:]]
+        if c.ndim == 2:
+            bound = [np.full((g * g, c.shape[1]), row) for row in bound]
+        return (dt * c[0], *bound)
+
+    step_impl.lap, step_impl.source, step_impl.bind = lap, source, bind
     return step_impl

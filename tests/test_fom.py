@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -23,22 +24,32 @@ BENCHMARKS = [
 ]
 
 
-def _mixed_reaction2d_block(model):
-    """The five models and the `fom._block_step` of a reaction2d block with
-    one mu per column (its Taylor coefficients as rows), on `model`'s grid
-    and degree."""
-    g = math.isqrt(model.state_dim)
-    models = [
-        fom.make_diffusion_reaction_2d(mu, grid_points_per_dim=g, degree=model.degree)
-        for mu in (1.0, 1.1, 1.25, 1.4, 1.5)
-    ]
+# the discretizations whose models share one step with bound coefficients
+MIXED = ("burgers", "diffusion-reaction-2d")
+
+
+def _mixed_parameter_block(model):
+    """The five models and the `fom._block_step` of a Burgers or reaction2d
+    block with one mu per column (its coefficients bound as blocks), on
+    `model`'s grid and, for reaction2d, its degree."""
+    if model.label == "burgers":
+        models = [
+            fom.make_burgers(mu, num_nodes=model.state_dim) for mu in (0.1, 0.3, 0.5, 0.8, 1.0)
+        ]
+    else:
+        g = math.isqrt(model.state_dim)
+        models = [
+            fom.make_diffusion_reaction_2d(mu, grid_points_per_dim=g, degree=model.degree)
+            for mu in (1.0, 1.1, 1.25, 1.4, 1.5)
+        ]
     return models, fom._block_step(models, [1] * 5)
 
 
 @pytest.mark.parametrize("build", BENCHMARKS)
 def test_step_matches_multilinear_expansion(build):
-    """Single states, and an (N, 5) block column by column: reaction2d's
-    with one mu per column, every other model's of the model alone."""
+    """Single states, and an (N, 5) block column by column: Burgers' and
+    reaction2d's with one mu per column, every other model's of the model
+    alone."""
     model = build()
     rng = np.random.default_rng(20)
     for _ in range(100):
@@ -47,8 +58,8 @@ def test_step_matches_multilinear_expansion(build):
         poly = model.polynomial_step(x, u)
         assert np.linalg.norm(fast - poly) <= 1e-12 * (1.0 + np.linalg.norm(fast))
     models, step = [model] * 5, model.block_step
-    if model.label == "diffusion-reaction-2d":
-        models, step = _mixed_reaction2d_block(model)
+    if model.label in MIXED:
+        models, step = _mixed_parameter_block(model)
     X = rng.normal(size=(model.state_dim, 5))
     U = rng.normal(size=(model.input_dim, 5)) if model.input_dim else None
     block = step(X, U)
@@ -69,10 +80,10 @@ def _layouts(A):
 @pytest.mark.parametrize("build", BENCHMARKS)
 def test_step_ignores_layout_and_writes_nothing_into_its_arguments(build):
     """Every layout of a state steps to the bits of its C-ordered copy, and
-    the state, the input and the coefficient rows are left bitwise as they
-    were: the model's own step, and for reaction2d the coefficient-row step
-    of a mixed-mu block too (on blocks only, as its rows have five
-    columns)."""
+    the state, the input and the coefficient blocks are left bitwise as they
+    were: the model's own step, and for Burgers and reaction2d the step of a
+    mixed-mu block too, with its coefficient blocks bound (on blocks only,
+    as those have five columns)."""
     model = build()
     rng = np.random.default_rng(31)
     X = rng.normal(size=(model.state_dim, 5))
@@ -80,17 +91,17 @@ def test_step_ignores_layout_and_writes_nothing_into_its_arguments(build):
     states = _layouts(X)
     inputs = [None] * len(states) if U is None else _layouts(U)
     cases = [(model.block_step, len(states))]
-    if model.label == "diffusion-reaction-2d":
-        cases.append((_mixed_reaction2d_block(model)[1], 3))
+    if model.label in MIXED:
+        cases.append((_mixed_parameter_block(model)[1], 3))
     for step, count in cases:
-        rows = getattr(step, "keywords", {}).get("c")
-        kept_rows = None if rows is None else rows.copy()
+        bound = getattr(step, "keywords", {}).get("c", ())
+        kept_bound = [np.copy(c) for c in bound]
         for x, u in zip(states[:count], inputs[:count]):
             kept_x, kept_u = x.copy(), None if u is None else u.copy()
             out = step(x, u)
             assert np.array_equal(x, kept_x)
             assert u is None or np.array_equal(u, kept_u)
-            assert rows is None or np.array_equal(rows, kept_rows)
+            assert all(np.array_equal(c, kept) for c, kept in zip(bound, kept_bound))
             assert not np.shares_memory(out, x)
             expected = step(np.ascontiguousarray(x), None if u is None else np.ascontiguousarray(u))
             assert np.array_equal(out, expected)
@@ -235,6 +246,64 @@ def test_burgers_zero_state_step_is_input_injection():
     expected = np.zeros(16)
     expected[0], expected[-1] = 2.5, -2.5
     assert np.array_equal(out, expected)
+
+
+@pytest.mark.parametrize("m", [1, 3, 9])
+def test_burgers_step_keeps_the_bits_of_its_expression(m):
+    """The in-place Burgers step gives bit for bit the interior expression
+    below, for one model (a state and a block of m columns) and for a block
+    of m columns of m mu, whose mu block is bound once."""
+    dt, N = 1e-4, 128
+    h = 2.0 / (N - 1)
+    mus = np.linspace(0.1, 1.0, m)
+    rng = np.random.default_rng(40)
+    x = rng.normal(size=(N, m))
+    u = rng.normal(size=(1, m))
+
+    def reference(x, u, mu):
+        out = np.empty_like(x)
+        out[1:-1] = x[1:-1] + dt * (
+            mu * (x[2:] - 2 * x[1:-1] + x[:-2]) / h**2 - x[1:-1] * (x[2:] - x[:-2]) / (2 * h)
+        )
+        out[0], out[-1] = u[0], -u[0]
+        return out
+
+    model = fom.make_burgers(mus[0], dt=dt, num_nodes=N)
+    assert np.array_equal(model.block_step(x, u), reference(x, u, mus[0]))
+    assert np.array_equal(model.step(x[:, 0], u[:, 0]), reference(x[:, 0], u[:, 0], mus[0]))
+    models = [fom.make_burgers(mu, dt=dt, num_nodes=N) for mu in mus]
+    assert np.array_equal(fom._block_step(models, [1] * m)(x, u), reference(x, u, mus))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        # Burgers keeps a dense N x N linear operator for its forms
+        lambda: fom.make_burgers(0.5, num_nodes=1024),
+        lambda: fom.make_diffusion_reaction_2d(1.2),
+        lambda: fom.make_diffusion_reaction_2d(1.2, degree=2),
+    ],
+    ids=["burgers", "reaction2d", "reaction2d-degree2"],
+)
+def test_mixed_parameter_block_step_allocates_no_coefficient_block(build):
+    """One step of a mixed-mu block of N = 1024 (Burgers) or 4096
+    (reaction2d) allocates at most two arrays of the state's size, its
+    output and one work array: the coefficient blocks, reaction2d's linear
+    one with the Laplacian's -4 folded in, are bound once by
+    `fom._block_step`, not per step."""
+    model = build()
+    _, step = _mixed_parameter_block(model)
+    rng = np.random.default_rng(41)
+    x = rng.normal(size=(model.state_dim, 5))
+    u = rng.normal(size=(model.input_dim, 5))
+    step(x, u)
+    tracemalloc.start()
+    try:
+        step(x, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * x.nbytes
 
 
 def test_burgers_quadratic_is_step_minus_linear_minus_input():
@@ -496,7 +565,7 @@ def _mixed_block(models, counts, rng, K, scale):
     "build, mus, tol",
     [
         (lambda mu: fom.make_burgers(mu, num_nodes=32), (0.3, 1.0, 0.6), 0.0),
-        # no shared parameter row: each model steps its own column slice
+        # no shared step: each model steps its own column slice
         (lambda mu: fom.make_random_polynomial(7, 2, input_dim=2, seed=mu), (1, 2, 3), 0.0),
         (lambda mu: fom.make_diffusion_reaction_2d(mu, grid_points_per_dim=8), (1.5, 1.0, 1.2),
          1e-14),
@@ -504,8 +573,9 @@ def _mixed_block(models, counts, rng, K, scale):
 )
 def test_mixed_parameter_block_equals_per_parameter_simulate(build, mus, tol):
     """One block of three parameters' columns steps like each parameter's
-    own `simulate`: bitwise for Burgers' mu row and for column slices, to
-    rounding for reaction2d's coefficient rows."""
+    own `simulate`: bitwise for Burgers' mu block and for column slices, to
+    rounding for reaction2d, whose input term is one matrix product on the
+    block but one matrix-vector product on a single run's column."""
     models = [build(mu) for mu in mus]
     counts = (2, 1, 3)
     block, per_model = _mixed_block(models, counts, np.random.default_rng(26), 30, 0.1)
