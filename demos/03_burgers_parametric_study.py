@@ -64,6 +64,7 @@ mu_test = 0.325
 test_model = factory(mu_test)
 U_test = np.ones((1, K))
 full = simulate(test_model, x0, U_test)
+piece = diagnostics.project_piece(basis.matrix, full.X, full.X.shape[1])
 print(f"\ntest parameter mu = {mu_test} (between nodes), constant input 1")
 print(f"{'n':>3} {'intrusive err':>14} {'re-proj err':>14} {'plain err':>14} "
       f"{'re-proj vs intrusive':>21}")
@@ -81,12 +82,10 @@ for n in (2, 4, 6):
         if name == "intrusive":
             tilde = z
     errs = {
-        name: diagnostics.avg_rel_state_error([full.X], [z.X], basis.matrix[:, :n]).value
-        if not z.diverged
-        else float("nan")
+        name: float("nan") if z.diverged else diagnostics.pooled_rel_state_error([piece], [z.X])
         for name, z in rows.items()
     }
-    diff = diagnostics.rel_trajectory_difference([rows["re-proj"].X], [tilde.X]).value
+    diff = diagnostics.pooled_rel_difference([tilde.X], [rows["re-proj"].X])
     print(f"{n:>3} {errs['intrusive']:>14.4e} {errs['re-proj']:>14.4e} "
           f"{errs['plain']:>14.4e} {diff:>21.3e}")
 

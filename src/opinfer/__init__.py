@@ -3,11 +3,9 @@ intrusive Galerkin projection, via operator inference on re-projected data."""
 
 from .diagnostics import (
     MZDecomposition,
-    avg_rel_state_error,
     closure_error,
     closure_error_per_step,
     mori_zwanzig_decompose,
-    rel_trajectory_difference,
 )
 from .fom import (
     FullOrderModel,

@@ -121,6 +121,8 @@ class ExperimentConfig:
         state_dim = (
             self.grid_points_per_dim**2 if self.benchmark == "reaction2d" else self.state_dim
         )
+        if self.benchmark in ("burgers", "chafee") and self.state_dim < 2:
+            raise ConfigError(f"state_dim must be >= 2 grid nodes, got {self.state_dim}")
         if self.nbar > state_dim:
             raise ConfigError(f"nbar={self.nbar} exceeds the state dimension {state_dim}")
         if not _are_integers_upto(self.truncation_dims, self.nbar):
@@ -164,7 +166,7 @@ class ExperimentConfig:
 _INTEGER_FIELDS = {
     "seed": 0,
     "state_dim": 1,
-    "grid_points_per_dim": 1,
+    "grid_points_per_dim": 2,
     "num_steps": 1,
     "param_count": 1,
     "num_inputs": 1,
@@ -760,7 +762,7 @@ def run_toy(config):
             cond_rows.append([n, K_sub, sub.condition_number])
 
         if n == config.truncation_dims[0]:
-            closure = np.linalg.norm(proj[:, :K] - tilde.states[:, :K], axis=0)
+            closure = diagnostics.closure_error_per_step(proj[:, :K], tilde.states[:, :K])
             report.extras["toy_closure.csv"] = (
                 "k,closure",
                 [[k, closure[k]] for k in range(K)],

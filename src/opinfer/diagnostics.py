@@ -1,15 +1,13 @@
 """Error metrics, closure error, and the Mori-Zwanzig split of projected
 linear dynamics.
 
-`cli._evaluate` computes its metrics with the pooled sums.  No run calls the
-paired metrics `avg_rel_state_error` and `rel_trajectory_difference` (with
-`_paired_metric`, `_is_diverged` and `ErrorSummary`); they stay as demo 03's
-API and as the per-trajectory oracle of `cli._evaluate`
-(`test_cli.py::test_avg_rel_error_pools_the_training_pieces`).
+The metrics are pooled over the pieces of one model
+(`pooled_rel_state_error`, `pooled_rel_difference`); `cli._evaluate` takes
+the same sums over the time windows of its stack and shares `pooled_ratio`
+with them.
 """
 
 import math
-from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,19 +39,6 @@ def closure_error_per_step(projected, reduced):
     if P.shape != R.shape:
         raise ValueError(f"shape mismatch: {P.shape} vs {R.shape}")
     return np.linalg.norm(P - R, axis=0)
-
-
-ErrorSummary = namedtuple("ErrorSummary", ["value", "used", "excluded"])
-
-
-def _is_diverged(reduced, expected_columns):
-    if reduced is None:
-        return True
-    if isinstance(reduced, _fom.Trajectory):
-        if reduced.diverged:
-            return True
-        reduced = reduced.states
-    return np.asarray(reduced).shape[1] < expected_columns
 
 
 def project_piece(V, X, num_steps):
@@ -103,48 +88,6 @@ def pooled_ratio(sums):
     if ref_sq == 0.0:
         raise ValueError("reference trajectories have zero norm")
     return math.sqrt(max(num_sq, 0.0) / ref_sq)
-
-
-def avg_rel_state_error(full_trajectories, reduced_trajectories, V):
-    """`pooled_rel_state_error` of reduced trajectories against full ones on
-    the orthonormal basis V.
-
-    Pairs whose reduced trajectory diverged (divergence flag set, or fewer
-    columns than the full trajectory) are left out of the sums and counted
-    separately; the paper's plots show them as missing values.  Returns an
-    ErrorSummary(value, used, excluded); value is NaN if every pair diverged.
-    """
-    def pooled(Xs, Zs):
-        return pooled_rel_state_error([project_piece(V, X, X.shape[1]) for X in Xs], Zs)
-
-    return _paired_metric(full_trajectories, reduced_trajectories, pooled)
-
-
-def rel_trajectory_difference(reduced_trajectories, reference_trajectories):
-    """`pooled_rel_difference` of learned-model trajectories from the
-    intrusive reduced model's; divergence handling as in `avg_rel_state_error`.
-    """
-    return _paired_metric(reference_trajectories, reduced_trajectories, pooled_rel_difference)
-
-
-def _paired_metric(references, candidates, pooled):
-    if len(references) == 0:
-        raise ValueError("empty trajectory list")
-    if len(references) != len(candidates):
-        raise ValueError("trajectory lists must have equal length")
-    refs, cands, excluded = [], [], 0
-    for ref, cand in zip(references, candidates):
-        R = _states(ref)
-        if _is_diverged(cand, R.shape[1]):
-            excluded += 1
-            continue
-        C = _states(cand)
-        if C.shape[1] != R.shape[1]:
-            raise ValueError(f"column mismatch: {C.shape[1]} vs {R.shape[1]}")
-        refs.append(R)
-        cands.append(C)
-    value = pooled(refs, cands) if refs else float("nan")
-    return ErrorSummary(value=value, used=len(refs), excluded=excluded)
 
 
 @dataclass(frozen=True)

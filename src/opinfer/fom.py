@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polytensor import compressed_dim, compressed_powers, symmetrized_compressed_power
+from .polytensor import apply_operators, compressed_dim, symmetrized_compressed_power
 
 
 class NumericalFailure(RuntimeError):
@@ -109,9 +109,6 @@ class FullOrderModel:
         if len(args) != i:
             raise ValueError(f"degree-{i} form takes {i} arguments, got {len(args)}")
         return self.forms[i - 1](*args)
-
-    def input_term(self, u):
-        return self.input_matrix @ np.asarray(u, dtype=float)
 
     def step(self, x, u=None):
         """One time step f(x, u); uses the direct evaluation path if attached."""
@@ -393,14 +390,7 @@ def make_toy_linear(state_dim=10, seed=0, radius=0.95):
     rng = np.random.default_rng(seed)
     A1 = rng.uniform(0.0, 1.0, (state_dim, state_dim))
     A1 *= radius / np.abs(np.linalg.eigvals(A1)).max()
-    return FullOrderModel(
-        state_dim=state_dim,
-        input_dim=0,
-        degree=1,
-        forms=(lambda w: A1 @ w,),
-        label="toy-linear",
-        compressed_operators=(A1,),
-    )
+    return _model_from_compressed((A1,), None, label="toy-linear")
 
 
 def make_random_polynomial(
@@ -436,16 +426,6 @@ def _model_from_compressed(operators, input_matrix, parameter=None, label="fom")
             return lambda w: A @ w
         return lambda *ws: A @ symmetrized_compressed_power(ws)
 
-    def step_impl(x, u):
-        powers = compressed_powers(x, degree)
-        out, start = operators[0] @ powers[:state_dim], state_dim
-        for A in operators[1:]:
-            out += A @ powers[start : start + A.shape[1]]
-            start += A.shape[1]
-        if input_matrix is not None:
-            out += input_matrix @ u
-        return out
-
     return FullOrderModel(
         state_dim=state_dim,
         input_dim=0 if input_matrix is None else input_matrix.shape[1],
@@ -454,7 +434,7 @@ def _model_from_compressed(operators, input_matrix, parameter=None, label="fom")
         input_matrix=None if input_matrix is None else np.asarray(input_matrix, float),
         parameter=parameter,
         label=label,
-        step_impl=step_impl,
+        step_impl=functools.partial(apply_operators, operators, input_matrix),
         compressed_operators=operators,
     )
 
@@ -462,23 +442,28 @@ def _model_from_compressed(operators, input_matrix, parameter=None, label="fom")
 def make_burgers(mu, dt=1e-4, num_nodes=128):
     """Viscous Burgers on (-1, 1), Dirichlet x(-1)=u, x(1)=-u, forward Euler.
 
-    The state holds all `num_nodes` grid values including the two boundary
-    nodes; their next value is injected from the input (rows of A1 and the
-    quadratic term are zero there), which keeps the quadratic operator and
-    the input matrix independent of the diffusion parameter.  Interior nodes
-    use central differences for both diffusion and the convection term
-    x * dx/dxi.  The step takes mu as its one coefficient (`_burgers_step`).
+    The state holds all `num_nodes` >= 2 grid values including the two
+    boundary nodes; their next value is injected from the input (the rows
+    of the linear and quadratic forms are zero there), which keeps the
+    quadratic operator and the input matrix independent of the diffusion
+    parameter.  Interior nodes use central differences for both diffusion
+    and the convection term x * dx/dxi: the linear form is the tridiagonal
+    matrix whose interior rows i = 1 .. N-2 hold d at (i, i-1) and (i, i+1)
+    and 1 - 2 d at (i, i), d = dt mu / h^2, applied as a stencil.  The step
+    takes mu as its one coefficient (`_burgers_step`).
     """
     if not 0.1 <= mu <= 1.0:
         raise ValueError(f"mu must lie in [0.1, 1], got {mu}")
+    if num_nodes < 2:
+        raise ValueError(f"need at least 2 grid nodes, got {num_nodes}")
     N = num_nodes
     h = 2.0 / (N - 1)
+    diag, off = 1.0 - 2.0 * dt * mu / h**2, dt * mu / h**2
 
-    A1 = np.zeros((N, N))
-    inner = np.arange(1, N - 1)
-    A1[inner, inner] = 1.0 - 2.0 * dt * mu / h**2
-    A1[inner, inner - 1] = dt * mu / h**2
-    A1[inner, inner + 1] = dt * mu / h**2
+    def linear(w):
+        out = np.zeros(N)
+        out[1:-1] = diag * w[1:-1] + off * (w[:-2] + w[2:])
+        return out
 
     B = np.zeros((N, 1))
     B[0, 0] = 1.0
@@ -497,7 +482,7 @@ def make_burgers(mu, dt=1e-4, num_nodes=128):
         state_dim=N,
         input_dim=1,
         degree=2,
-        forms=(lambda w: A1 @ w, quad),
+        forms=(linear, quad),
         input_matrix=B,
         parameter=mu,
         label="burgers",
@@ -559,17 +544,23 @@ def make_chafee_infante(dt=1e-5, num_nodes=128):
     cubes by products, as the degree-3 form does: numpy's float power calls
     libm `pow`, which is many times slower on negative entries, and the
     lifted states V z of re-projection have both signs.
+
+    The linear form a w + c s(w), s(w) the same neighbour sum with no input,
+    is a stencil that stays apart from the step: the tridiagonal matrix of
+    N >= 2 nodes with a on the diagonal and c beside it, but 2 c at
+    (N-1, N-2), the mirrored ghost.
     """
+    if num_nodes < 2:
+        raise ValueError(f"need at least 2 grid nodes, got {num_nodes}")
     N = num_nodes
     h = 1.0 / N
     a, c = 1.0 + dt * (1.0 - 2.0 / h**2), dt / h**2
 
-    A1 = np.zeros((N, N))
-    idx = np.arange(N)
-    A1[idx, idx] = a
-    A1[idx[:-1], idx[:-1] + 1] = c
-    A1[idx[1:], idx[1:] - 1] = c
-    A1[-1, -2] = 2.0 * c  # mirrored ghost at the Neumann end
+    def linear(w):
+        s = np.empty(N)
+        s[1:-1] = w[:-2] + w[2:]
+        s[0], s[-1] = w[1], 2.0 * w[-2]
+        return a * w + c * s
 
     B = np.zeros((N, 1))
     B[0, 0] = c
@@ -596,7 +587,7 @@ def make_chafee_infante(dt=1e-5, num_nodes=128):
         state_dim=N,
         input_dim=1,
         degree=3,
-        forms=(lambda w: A1 @ w, zero2, cubic),
+        forms=(linear, zero2, cubic),
         input_matrix=B,
         label="chafee-infante",
         step_impl=step_impl,
@@ -625,6 +616,8 @@ def make_diffusion_reaction_2d(mu, grid_points_per_dim=64, dt=1e-2, degree=3):
         raise ValueError(f"mu must lie in [1, 1.5], got {mu}")
     if degree not in (2, 3):
         raise ValueError(f"reaction degree must be 2 or 3, got {degree}")
+    if grid_points_per_dim < 2:
+        raise ValueError(f"need at least 2 grid points per dimension, got {grid_points_per_dim}")
     g = grid_points_per_dim
     N = g * g
     step_impl = _reaction_step(g, dt, degree)

@@ -83,6 +83,22 @@ def compressed_powers(X, degree):
     return out
 
 
+def apply_operators(operators, input_matrix, X, u):
+    """sum_i A_i X^i + B u of compressed operators A_i (n, n_i) and an input
+    matrix B (None: no input term), for a state (n,) or each column of a
+    block (n, m), whose inputs u are then (p, m): the one evaluator of the
+    full models built from operators and of the reduced models."""
+    powers = compressed_powers(X, len(operators))
+    n = operators[0].shape[1]
+    out, start = operators[0] @ powers[:n], n
+    for A in operators[1:]:
+        out += A @ powers[start : start + A.shape[1]]
+        start += A.shape[1]
+    if input_matrix is not None:
+        out += input_matrix @ np.atleast_1d(np.asarray(u, dtype=float))
+    return out
+
+
 def compressed_power_matrix(X, degree):
     """The degree-`degree` block of `compressed_powers`, shape (n_i,) or
     (n_i, K); for degree 1 the values are x itself."""

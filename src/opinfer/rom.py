@@ -7,6 +7,7 @@ import numpy as np
 
 from . import fom as _fom
 from .polytensor import (
+    apply_operators,
     compressed_dim,
     compressed_powers,
     multiset_indices,
@@ -73,14 +74,7 @@ class PolynomialModel:
     def step(self, z, u=None):
         """One reduced time step of a state (n,) or of each column of a block
         (n, m), whose inputs are then (p, m)."""
-        powers = compressed_powers(z, self.degree)
-        out, start = self.operators[0] @ powers[: self.reduced_dim], self.reduced_dim
-        for A in self.operators[1:]:
-            out += A @ powers[start : start + A.shape[1]]
-            start += A.shape[1]
-        if self.input_matrix is not None:
-            out += self.input_matrix @ np.atleast_1d(np.asarray(u, dtype=float))
-        return out
+        return apply_operators(self.operators, self.input_matrix, z, u)
 
     def stacked(self):
         """The block matrix [A_1, ..., A_ell, B]."""

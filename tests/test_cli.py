@@ -133,30 +133,35 @@ def test_config_invariants():
     config.input_range = (3.0, 1.0)
     with pytest.raises(cli.ConfigError):
         config.validate()
-    for benchmark, key, value in _BAD_CONFIG_ENTRIES:
+    for benchmark, entries in _BAD_CONFIG_ENTRIES:
         config = cli.default_config(benchmark)
-        setattr(config, key, value)
+        for key, value in entries.items():
+            setattr(config, key, value)
         with pytest.raises(cli.ConfigError):
             config.validate()
 
 
-# (benchmark, key, value): each entry alone makes a preset invalid
+# (benchmark, entries): each set of entries makes a preset invalid
 _BAD_CONFIG_ENTRIES = [
-    ("custom", "input_range", [1]),
-    ("custom", "num_inputs", 0),
-    ("burgers", "param_count", 0),
-    ("burgers", "seed", -1),
-    ("burgers", "reproj_horizon", "x"),
-    ("custom", "nbar", 17),  # state_dim is 16
-    ("reaction2d", "nbar", 32 * 32 + 1),
-    ("burgers", "dt", "abc"),
-    ("custom", "require_recovery", "no"),
-    ("toy", "out_dir", 5),
-    ("custom", "input_range", [0.0, float("inf")]),
-    ("custom", "input_range", [0, 10**400]),  # beyond the float range
-    ("reaction2d", "reproj_start_kick", float("inf")),
-    ("burgers", "dt", float("inf")),
-    ("custom", "truncation_dims", [2, 2, 4]),  # a repeat would repeat metrics.csv rows
+    ("custom", {"input_range": [1]}),
+    ("custom", {"num_inputs": 0}),
+    ("burgers", {"param_count": 0}),
+    ("burgers", {"seed": -1}),
+    ("burgers", {"reproj_horizon": "x"}),
+    ("custom", {"nbar": 17}),  # state_dim is 16
+    ("reaction2d", {"nbar": 32 * 32 + 1}),
+    ("burgers", {"dt": "abc"}),
+    ("custom", {"require_recovery": "no"}),
+    ("toy", {"out_dir": 5}),
+    ("custom", {"input_range": [0.0, float("inf")]}),
+    ("custom", {"input_range": [0, 10**400]}),  # beyond the float range
+    ("reaction2d", {"reproj_start_kick": float("inf")}),
+    ("burgers", {"dt": float("inf")}),
+    ("custom", {"truncation_dims": [2, 2, 4]}),  # a repeat would repeat metrics.csv rows
+    # a grid of one node: the constructors need two
+    ("burgers", {"state_dim": 1, "nbar": 1, "truncation_dims": [1], "param_count": 2}),
+    ("chafee", {"state_dim": 1, "nbar": 1, "truncation_dims": [1], "snapshot_stride": 1}),
+    ("reaction2d", {"grid_points_per_dim": 1, "nbar": 1, "truncation_dims": [1]}),
 ]
 
 
@@ -167,9 +172,11 @@ def test_main_exit_codes(tmp_path, capsys):
     # config error: run without config
     assert cli.main(["run"]) == cli.EXIT_CONFIG
     # config error: an invalid entry in the file
-    for benchmark, key, value in _BAD_CONFIG_ENTRIES:
-        path = _write_config(tmp_path, benchmark=benchmark, **{key: value})
-        assert cli.main(["run", "--config", path]) == cli.EXIT_CONFIG, (key, value)
+    capsys.readouterr()
+    for benchmark, entries in _BAD_CONFIG_ENTRIES:
+        path = _write_config(tmp_path, benchmark=benchmark, **entries)
+        assert cli.main(["run", "--config", path]) == cli.EXIT_CONFIG, entries
+        assert len(capsys.readouterr().err.splitlines()) == 1, entries
     # success
     out = tmp_path / "out"
     assert cli.main(["toy", "--out", str(out), "--seed", "1"]) == cli.EXIT_OK
@@ -381,9 +388,9 @@ def test_toy_cond_is_the_certificate_of_a_fit_to_the_leading_transitions(tmp_pat
 
 def test_avg_rel_error_pools_the_training_pieces(monkeypatch):
     """On a training split of two pieces of unequal norm, the avg_rel_error
-    of metrics.csv is `diagnostics.avg_rel_state_error` of the same full and
-    reduced pieces, which pools them; the mean of the per-piece ratios
-    differs."""
+    of metrics.csv pools the same full and lifted reduced pieces,
+    sqrt(sum_l ||V_n Z_l - X_l||^2 / sum_l ||X_l||^2); the mean of the
+    per-piece ratios differs."""
     config = cli.default_config("custom")
     config.num_inputs = 2
     unscaled = cli._CustomAdapter.reproj_inputs
@@ -412,14 +419,11 @@ def test_avg_rel_error_pools_the_training_pieces(monkeypatch):
         reduced = [
             rom.reduced_simulate(rom.truncate(intrusive, n), np.zeros(n), U).X for U in inputs
         ]
-        pooled = diagnostics.avg_rel_state_error(full, reduced, basis.truncated(n))
-        assert pooled.used == 2
-        assert errors[n] == pytest.approx(pooled.value, rel=1e-12)
-        ratios = [
-            np.linalg.norm(basis.matrix[:, :n] @ Z - X) / np.linalg.norm(X)
-            for X, Z in zip(full, reduced)
-        ]
-        assert abs(np.mean(ratios) - pooled.value) > 1e-6 * pooled.value
+        gaps = [np.linalg.norm(basis.matrix[:, :n] @ Z - X) for X, Z in zip(full, reduced)]
+        pooled = np.sqrt(sum(g**2 for g in gaps) / sum(v**2 for v in norms))
+        assert errors[n] == pytest.approx(pooled, rel=1e-12)
+        ratios = [g / norm for g, norm in zip(gaps, norms)]
+        assert abs(np.mean(ratios) - pooled) > 1e-6 * pooled
 
 
 def test_evaluate_in_piece_groups_matches_single_runs(monkeypatch):

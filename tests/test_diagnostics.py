@@ -45,70 +45,58 @@ def test_closure_error_shape_mismatch():
         diagnostics.closure_error(np.zeros((2, 3)), np.zeros((2, 4)))
 
 
-def test_avg_rel_state_error_zero_in_span():
+def _pooled_state_error(Xs, Zs, V):
+    return diagnostics.pooled_rel_state_error(
+        [diagnostics.project_piece(V, X, X.shape[1]) for X in Xs], Zs
+    )
+
+
+def test_pooled_rel_state_error_zero_in_span():
     rng = np.random.default_rng(3)
     basis = subspace.pod_basis(rng.normal(size=(8, 12)), 3)
     Z = rng.normal(size=(3, 6))
     X = subspace.lift(basis, Z)
-    result = diagnostics.avg_rel_state_error([X], [Z], basis)
-    assert result.value <= 1e-13
-    assert result.used == 1 and result.excluded == 0
+    assert _pooled_state_error([X], [Z], basis) <= 1e-13
 
 
-def test_avg_rel_state_error_single_pair_formula():
+def test_pooled_rel_state_error_single_pair_formula():
     rng = np.random.default_rng(4)
     basis = subspace.pod_basis(rng.normal(size=(5, 8)), 2)
     X = rng.normal(size=(5, 4))
     Z = rng.normal(size=(2, 4))
-    result = diagnostics.avg_rel_state_error([X], [Z], basis)
     expected = np.linalg.norm(basis.matrix @ Z - X) / np.linalg.norm(X)
-    assert result.value == pytest.approx(expected, rel=1e-14)
-
-
-def test_metrics_exclude_diverged_and_count_them():
-    rng = np.random.default_rng(5)
-    basis = subspace.pod_basis(rng.normal(size=(5, 8)), 2)
-    X = rng.normal(size=(5, 6))
-    good = rng.normal(size=(2, 6))
-    diverged = fom.Trajectory(states=np.zeros((2, 3)), diverged_at=3)
-    result = diagnostics.avg_rel_state_error([X, X], [good, diverged], basis)
-    single = diagnostics.avg_rel_state_error([X], [good], basis)
-    assert result.used == 1 and result.excluded == 1
-    assert result.value == pytest.approx(single.value)
-
-    diff = diagnostics.rel_trajectory_difference([good, None], [good, good])
-    assert diff.value == pytest.approx(0.0)
-    assert diff.excluded == 1
+    assert _pooled_state_error([X], [Z], basis) == pytest.approx(expected, rel=1e-14)
 
 
 def test_metrics_error_cases():
+    # no reference, or references of zero norm, give no ratio
     with pytest.raises(ValueError):
-        diagnostics.rel_trajectory_difference([], [])
+        diagnostics.pooled_rel_difference([], [])
     with pytest.raises(ValueError):
-        diagnostics.rel_trajectory_difference([np.ones((2, 2))], [np.zeros((2, 2))])
+        diagnostics.pooled_rel_difference([np.zeros((2, 2))], [np.ones((2, 2))])
 
 
-def test_rel_trajectory_difference_zero_and_value():
+def test_pooled_rel_difference_zero_and_value():
     rng = np.random.default_rng(6)
     A = rng.normal(size=(3, 5))
     B = rng.normal(size=(3, 5))
-    assert diagnostics.rel_trajectory_difference([A], [A.copy()]).value == 0.0
-    two = diagnostics.rel_trajectory_difference([A, B], [A, A])
+    assert diagnostics.pooled_rel_difference([A.copy()], [A]) == 0.0
+    two = diagnostics.pooled_rel_difference([A, A], [A, B])
     # pooled over both pairs: sqrt((0 + ||B - A||^2) / (||A||^2 + ||A||^2))
     expected = np.linalg.norm(A - B) / (np.sqrt(2.0) * np.linalg.norm(A))
-    assert two.value == pytest.approx(expected, rel=1e-13)
+    assert two == pytest.approx(expected, rel=1e-13)
 
 
 def test_metrics_invariant_under_list_permutation():
     rng = np.random.default_rng(7)
     refs = [rng.normal(size=(3, 4)) for _ in range(4)]
     cands = [rng.normal(size=(3, 4)) for _ in range(4)]
-    forward = diagnostics.rel_trajectory_difference(cands, refs)
+    forward = diagnostics.pooled_rel_difference(refs, cands)
     perm = [2, 0, 3, 1]
-    shuffled = diagnostics.rel_trajectory_difference(
-        [cands[i] for i in perm], [refs[i] for i in perm]
+    shuffled = diagnostics.pooled_rel_difference(
+        [refs[i] for i in perm], [cands[i] for i in perm]
     )
-    assert forward.value == pytest.approx(shuffled.value, rel=1e-14)
+    assert forward == pytest.approx(shuffled, rel=1e-14)
 
 
 def test_condition_number_toy_trend():

@@ -278,16 +278,14 @@ def test_burgers_step_keeps_the_bits_of_its_expression(m):
 @pytest.mark.parametrize(
     "build",
     [
-        # Burgers keeps a dense N x N linear operator for its forms
-        lambda: fom.make_burgers(0.5, num_nodes=1024),
+        lambda: fom.make_burgers(0.5, num_nodes=4096),
         lambda: fom.make_diffusion_reaction_2d(1.2),
         lambda: fom.make_diffusion_reaction_2d(1.2, degree=2),
     ],
     ids=["burgers", "reaction2d", "reaction2d-degree2"],
 )
 def test_mixed_parameter_block_step_allocates_no_coefficient_block(build):
-    """One step of a mixed-mu block of N = 1024 (Burgers) or 4096
-    (reaction2d) allocates at most two arrays of the state's size, its
+    """One step of a mixed-mu block of N = 4096 allocates at most two arrays of the state's size, its
     output and one work array: the coefficient blocks, reaction2d's linear
     one with the Laplacian's -4 folded in, are bound once by
     `fom._block_step`, not per step."""
@@ -312,9 +310,62 @@ def test_burgers_quadratic_is_step_minus_linear_minus_input():
     for _ in range(10):
         x = rng.normal(size=24)
         u = rng.normal(size=1)
-        residual = model.step(x, u) - model.multilinear(1, [x]) - model.input_term(u)
+        residual = model.step(x, u) - model.multilinear(1, [x]) - model.input_matrix @ u
         quad = model.multilinear(2, [x, x])
         assert np.allclose(residual, quad, atol=1e-13)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda n: fom.make_burgers(0.5, num_nodes=n),
+        lambda n: fom.make_chafee_infante(num_nodes=n),
+        lambda n: fom.make_diffusion_reaction_2d(1.2, grid_points_per_dim=n),
+    ],
+    ids=["burgers", "chafee", "reaction2d"],
+)
+def test_grids_need_two_nodes(build):
+    with pytest.raises(ValueError):
+        build(1)
+    model = build(2)
+    x, u = np.linspace(-1.0, 1.0, model.state_dim), np.ones(model.input_dim)
+    assert np.allclose(model.step(x, u), model.polynomial_step(x, u), rtol=1e-13, atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: fom.make_burgers(0.5, num_nodes=4096), lambda: fom.make_chafee_infante(num_nodes=4096)],
+    ids=["burgers", "chafee"],
+)
+def test_fine_grid_holds_no_dense_operator(build):
+    """Building Burgers or Chafee-Infante at N = 4096 and applying its
+    linear form take memory of the state's size, not a dense N x N operator
+    (128 MiB)."""
+    tracemalloc.start()
+    try:
+        model = build()
+        model.multilinear(1, [np.ones(model.state_dim)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_linear_forms_are_the_tridiagonal_matrices_of_their_docstrings():
+    N, mu = 16, 0.5
+    d = 1e-4 * mu / (2.0 / (N - 1)) ** 2
+    burgers = np.zeros((N, N))
+    for i in range(1, N - 1):
+        burgers[i, i - 1 : i + 2] = d, 1.0 - 2.0 * d, d
+    a, c = 1.0 + 1e-5 * (1.0 - 2.0 * N**2), 1e-5 * N**2
+    chafee = a * np.eye(N) + c * (np.eye(N, k=1) + np.eye(N, k=-1))
+    chafee[-1, -2] = 2.0 * c
+    for model, matrix in (
+        (fom.make_burgers(mu, num_nodes=N), burgers),
+        (fom.make_chafee_infante(num_nodes=N), chafee),
+    ):
+        applied = np.column_stack([model.multilinear(1, [e]) for e in np.eye(N)])
+        assert np.abs(applied - matrix).max() <= 1e-15, model.label
 
 
 def test_burgers_quadratic_and_input_are_parameter_independent():

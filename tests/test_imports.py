@@ -5,6 +5,8 @@ Each check runs in a fresh interpreter, since the test session itself
 imports scipy for its oracles.  With `blocked`, the interpreter first sets
 sys.modules["scipy"] to None, so that any import of scipy raises, even one
 that would be undone before the check reads sys.modules.
+
+The public names of `opinfer` are pinned as well.
 """
 
 import json
@@ -12,8 +14,11 @@ import os
 import pathlib
 import subprocess
 import sys
+import types
 
 import pytest
+
+import opinfer
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -56,3 +61,23 @@ cli.run_study(config).write(config.out_dir)
 """
     _check_no_scipy(_modules_after(code, tmp_path, blocked), blocked)
     assert (tmp_path / "burgers" / "metrics.csv").exists()
+
+
+def test_public_names_are_pinned():
+    """The names that `import opinfer` offers, its submodules aside: a name
+    leaves the API only together with this list."""
+    names = {
+        name
+        for name, value in vars(opinfer).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert names == {
+        "Basis", "DataMatrix", "FullOrderModel", "MZDecomposition", "PolynomialModel",
+        "RecoveryCertificate", "Trajectory", "assemble_data_matrix", "closure_error",
+        "closure_error_per_step", "compressed_dim", "galerkin_project", "infer_operators",
+        "interpolate", "learn_with_reprojection", "lift", "make_burgers", "make_chafee_infante",
+        "make_diffusion_reaction_2d", "make_random_polynomial", "make_toy_linear",
+        "mori_zwanzig_decompose", "multiplicity", "pod_basis", "project",
+        "random_input_trajectory", "reduced_simulate", "reproject_sample", "simulate",
+        "truncate",
+    }
